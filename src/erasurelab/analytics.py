@@ -141,19 +141,23 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
     return PlrReport(family="fountain", n=n, k=k, p_e=p_e, plr=plr, method="analytic")
 
 
-def _count_losses(codec, n: int, masks: np.ndarray, counts: np.ndarray) -> int:
-    cache = getattr(codec, "_loss_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(codec, "_loss_cache", cache)
+def _count_losses(codec, n: int, masks: np.ndarray, counts: np.ndarray,
+                  cache: dict[int, int]) -> int:
+    """Lost source packets summed over distinct erasure masks weighted by
+    their counts; `cache` maps a mask to its loss within one evaluation."""
+    full = (1 << n) - 1
     total = 0
     for mask, cnt in zip(masks.tolist(), counts.tolist()):
-        key = (n, mask)
-        loss = cache.get(key)
+        loss = cache.get(mask)
         if loss is None:
-            survivors = [t + 1 for t in range(n) if not (mask >> t) & 1]
+            survivors = []
+            free = ~mask & full
+            while free:
+                low = free & -free
+                survivors.append(low.bit_length())
+                free ^= low
             loss = len(codec.unrecovered_sources(survivors))
-            cache[key] = loss
+            cache[mask] = loss
         total += loss * cnt
     return total
 
@@ -176,6 +180,8 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     if workers < 1:
         raise ValueError("need at least one worker")
 
+    cache: dict[int, int] = {}  # shared by the worker ranges of this call
+
     def run_range(first: int, count: int) -> int:
         total = 0
         done = 0
@@ -183,7 +189,7 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
             step = min(_BATCH, count - done)
             batch = rng.erasure_masks(seed, first + done, step, n, p_e)
             uniq, cnts = np.unique(batch, return_counts=True)
-            total += _count_losses(codec, n, uniq, cnts)
+            total += _count_losses(codec, n, uniq, cnts, cache)
             done += step
         return total
 
@@ -206,9 +212,10 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     """Smallest parity count whose predicted loss rate meets the target.
 
     MDS and fountain use their analytic expressions; polar has no closed form
-    and is measured empirically. Residual loss shrinks as parity grows, so a
-    linear scan from zero finds the minimum. Returns None when the target is
-    unreachable within the family's limits.
+    and is measured empirically, on at most rng.MAX_PACKETS packets per block.
+    Residual loss shrinks as parity grows, so a linear scan from zero finds
+    the minimum. Returns None when the target is unreachable within the
+    family's limits.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -236,6 +243,8 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
             plr = plr_fountain(n, k, p_e).plr
             method = "analytic"
             block = None
+        elif n > rng.MAX_PACKETS:
+            return None
         else:
             from .polar import polar_for_parity
 

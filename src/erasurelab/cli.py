@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from . import analytics, bench, multicast
+from . import analytics, bench, multicast, rng
 from .codec import CodeSpec, build_codec
 from .fountain import FountainCode
 from .gf256 import build_mds
@@ -24,6 +24,8 @@ SCHEMA_VERSION = 1
 PLR_FIELDS = ["family", "n", "k", "pe", "method", "receivers", "seed", "plr"]
 CDF_FIELDS = ["family", "parity_sent", "weighted_fraction"]
 BENCH_FIELDS = ["family", "k", "parity", "erasures", "size", "encode_ns_med", "decode_ns_med"]
+
+SEED = click.IntRange(0, rng.MASK64)  # rng.substream's seed range, checked up front
 
 
 def fmt(value) -> str:
@@ -124,7 +126,7 @@ def construct(family, k, parity, epsilon, as_json):
 @click.option("--plr-target", type=float, required=True, help="Residual loss target.")
 @click.option("--receivers", type=int, default=analytics.DEFAULT_RECEIVERS,
               show_default=True, help="Monte-Carlo receivers (polar only).")
-@click.option("--seed", type=int, default=None, help="Monte-Carlo seed (polar only).")
+@click.option("--seed", type=SEED, default=None, help="Monte-Carlo seed (polar only).")
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
@@ -175,7 +177,7 @@ def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
 @click.option("--method", type=click.Choice(["analytic", "mc"]), default="analytic",
               show_default=True)
 @click.option("--receivers", type=int, default=analytics.DEFAULT_RECEIVERS, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write plr.csv rows to this file.")
@@ -224,7 +226,7 @@ def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
 @click.option("--rounds", type=int, default=None,
               help="Repair rounds to simulate (default: each code's parity budget).")
 @click.option("--partial", is_flag=True, help="Credit partial repair instead of all-or-nothing.")
-@click.option("--seed", type=int, default=None, help="Fountain column seed.")
+@click.option("--seed", type=SEED, default=None, help="Fountain column seed.")
 @click.option("--epsilon", type=float, default=None,
               help="Polar construction parameter (default: pe).")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
@@ -276,7 +278,7 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
               help="Erased source packets for decode (default: parity count).")
 @click.option("--size", type=int, default=1500, show_default=True, help="Packet size in bytes.")
 @click.option("--iters", type=int, default=bench.MIN_ITERATIONS, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write bench.csv rows to this file.")
 @click.option("--json", "as_json", is_flag=True)

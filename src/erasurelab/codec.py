@@ -153,31 +153,34 @@ class SystematicXorCodec:
         return DecodeResult(recovered=dict(sorted(recovered.items())),
                             unrecoverable=frozenset(m for m in missing if m not in pinned))
 
+    def _parity_columns(self, js: list[int]) -> list[int]:
+        """Column masks of parity packets js, each at least 1."""
+        return [self.parity_mask(j) for j in js]
+
     def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
-        """Like decode, on indices alone: which source packets stay missing."""
-        idx = set(received_indices)
-        missing = [i for i in range(1, self.k + 1) if i not in idx]
+        """Like decode, on indices alone: which source packets stay missing.
+        Indices below 1 are ignored."""
+        k = self.k
+        have = 0
+        parity = []
+        for i in set(received_indices):
+            if i > k:
+                parity.append(i - k)
+            elif i >= 1:
+                have |= 1 << (i - 1)
+        missing = ~have & ((1 << k) - 1)
         if not missing:
             return frozenset()
-        bitpos = {src: t for t, src in enumerate(missing)}
-        equations = []
-        for i in idx:
-            if i <= self.k:
-                continue
-            mask = self.parity_mask(i - self.k)
-            coeffs = 0
-            while mask:
-                low = mask & -mask
-                src = low.bit_length()
-                if src in bitpos:
-                    coeffs |= 1 << bitpos[src]
-                mask ^= low
-            equations.append(coeffs)
-        pinned = set()
-        for row in gf2.reduce_echelon(equations):
+        # rows keep the codec's own bit positions; a weight-1 basis row pins its source
+        for row in gf2.reduce_echelon([c & missing for c in self._parity_columns(parity)]):
             if row.bit_count() == 1:
-                pinned.add(missing[row.bit_length() - 1])
-        return frozenset(m for m in missing if m not in pinned)
+                missing ^= row
+        lost = []
+        while missing:
+            low = missing & -missing
+            lost.append(low.bit_length())
+            missing ^= low
+        return frozenset(lost)
 
 
 class ExplicitXorCodec(SystematicXorCodec):
@@ -201,6 +204,12 @@ class ExplicitXorCodec(SystematicXorCodec):
     def parity_mask(self, j: int) -> int:
         self._check_parity_index(j)
         return self.masks[j - 1]
+
+    def _parity_columns(self, js: list[int]) -> list[int]:
+        if js:
+            self._check_parity_index(max(js))
+        masks = self.masks
+        return [masks[j - 1] for j in js]
 
 
 def build_codec(spec: CodeSpec):

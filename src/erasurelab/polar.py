@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import gf2
-from .codec import CodeSpec, SystematicXorCodec
+from .codec import CodeSpec, ExplicitXorCodec
 from .gf2 import BitMatrix
 
 BLOCK_CAP = 1 << gf2.KERNEL_POWER_CAP
@@ -141,26 +141,17 @@ def construct_systematic(levels: int, k: int, epsilon: float) -> PolarConstructi
     )
 
 
-class PolarCodec(SystematicXorCodec):
+class PolarCodec(ExplicitXorCodec):
     """Wire-format codec view of a PolarConstruction."""
 
     def __init__(self, construction: PolarConstruction):
-        super().__init__(construction.k)
+        super().__init__(construction.k, construction.reservoir_masks())
         self.construction = construction
-        self._masks = construction.reservoir_masks()
 
     @property
     def spec(self) -> CodeSpec:
         c = self.construction
         return CodeSpec(family="polar", n=c.block_length, k=c.k, epsilon=c.epsilon)
-
-    @property
-    def parity_limit(self) -> int | None:
-        return len(self._masks)
-
-    def parity_mask(self, j: int) -> int:
-        self._check_parity_index(j)
-        return self._masks[j - 1]
 
     def __repr__(self) -> str:
         c = self.construction

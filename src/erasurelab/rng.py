@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
+MAX_PACKETS = 64  # packets per simulated block: one uint64 erasure mask each
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -34,8 +35,10 @@ def word(base: int, counter: int) -> int:
 
 
 def substream(seed: int, stream_id: int) -> int:
-    """Base of an independent stream derived from a user seed."""
-    return word(seed & MASK64, stream_id)
+    """Base of an independent stream derived from a user seed in [0, 2**64)."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return word(seed, stream_id)
 
 
 def bits(base: int, count: int) -> int:
@@ -68,8 +71,8 @@ def erasure_mask(seed: int, receiver: int, packets: int, p_e: float) -> int:
 def erasure_masks(seed: int, first: int, count: int, packets: int, p_e: float) -> np.ndarray:
     """Erasure patterns of receivers first..first+count-1, bit-identical to
     `erasure_mask` applied one receiver at a time."""
-    if packets > 64:
-        raise ValueError("at most 64 packets per simulated block")
+    if packets > MAX_PACKETS:
+        raise ValueError(f"at most {MAX_PACKETS} packets per simulated block")
     threshold = int(p_e * 2.0**64)
     root = substream(seed, STREAM_RECEIVER)
     with np.errstate(over="ignore"):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 
 import pytest
@@ -158,6 +159,28 @@ def test_min_parity_polar_monte_carlo():
 
 def test_min_parity_unreachable_returns_none():
     assert min_parity("mds", 200, 0.5, 1e-12) is None
+
+
+def test_min_parity_polar_stops_at_the_simulated_block_cap():
+    # k=60 leaves room for 4 parity packets before k+p passes 64 packets
+    assert min_parity("polar", 60, 0.3, 1e-7, receivers=500, seed=1) is None
+
+
+def test_empirical_loss_cache_belongs_to_the_call():
+    codec = polar_for_parity(8, 4, 0.05)
+    before = dict(vars(codec))
+    first = plr_empirical(codec, 12, 8, 0.05, receivers=5000, seed=2)
+    assert vars(codec) == before
+    # the call's cache is shared by its worker threads: more workers than
+    # cores and frequent thread switches must not change the count
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        again = plr_empirical(codec, 12, 8, 0.05, receivers=5000, seed=2, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert again == first
+    assert vars(codec) == before
 
 
 def test_min_parity_validation():

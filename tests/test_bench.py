@@ -1,6 +1,8 @@
 """Timing harness: shape of reports, verification behavior, scaling."""
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from erasurelab import bench
@@ -40,11 +42,15 @@ def test_mds_decode_must_complete():
 
 
 def test_packet_size_linearity():
-    small = bench_codec("fountain", 16, 8, packet_size=4096, iterations=150, seed=4)
-    large = bench_codec("fountain", 16, 8, packet_size=8192, iterations=150, seed=4)
-    ratio = large.encode.median_ns / small.encode.median_ns
+    # the two sizes alternate, so a slow or fast spell of the CPU falls on
+    # both sides of a pair, and the median pair ignores a spell that did not
+    ratios = []
+    for _ in range(5):
+        small = bench_codec("fountain", 16, 8, packet_size=4096, iterations=150, seed=4)
+        large = bench_codec("fountain", 16, 8, packet_size=8192, iterations=150, seed=4)
+        ratios.append(large.encode.median_ns / small.encode.median_ns)
     # doubling the payload should roughly double the xor work
-    assert 1.5 < ratio < 2.5
+    assert 1.5 < statistics.median(ratios) < 2.5, ratios
 
 
 def test_erasure_count_validation():

@@ -58,6 +58,28 @@ def test_plan_unreachable_exits_3():
     assert result.exit_code == 3
 
 
+def test_plan_polar_past_the_simulated_block_cap_exits_3():
+    result = run("plan", "--family", "polar", "--k", 60, "--pe", 0.3,
+                 "--plr-target", 1e-7, "--seed", 1, "--receivers", 500)
+    assert result.exit_code == 3
+    assert "unreachable" in result.output
+
+
+def test_seed_outside_64_bits_is_a_usage_error():
+    for seed in (-1, 2**64):
+        for args in (("plan", "--family", "polar", "--k", 8, "--pe", 0.05,
+                      "--plr-target", 0.01),
+                     ("plr", "--family", "polar", "--n", 16, "--k", 8, "--pe", 0.05,
+                      "--method", "mc")):
+            result = run(*args, "--seed", seed, "--receivers", 1000)
+            assert result.exit_code == 2
+            assert f"Invalid value for '--seed': {seed} is not in the range" in result.output
+            assert "Traceback" not in result.output
+    result = run("plr", "--family", "polar", "--n", 16, "--k", 8, "--pe", 0.05,
+                 "--method", "mc", "--seed", 2**64 - 1, "--receivers", 1000)
+    assert result.exit_code == 0
+
+
 def test_plr_analytic_polar_rejected():
     result = run("plr", "--family", "polar", "--n", 16, "--k", 8, "--pe", 0.05,
                  "--method", "analytic")

@@ -1,0 +1,125 @@
+"""Decodability oracle: the mask-native elimination of the xor codecs
+against the simple remap path, and decode against the oracle for every
+family."""
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from erasurelab import build_mds, gf2
+from erasurelab.codec import ExplicitXorCodec
+from erasurelab.fountain import FountainCode
+from erasurelab.polar import polar_for_parity
+
+
+def reference_unrecovered(codec, received_indices) -> frozenset[int]:
+    """Simple path: remap each parity column into a dense space of the
+    missing source packets, eliminate there and map the pinned bits back."""
+    idx = set(received_indices)
+    missing = [i for i in range(1, codec.k + 1) if i not in idx]
+    if not missing:
+        return frozenset()
+    bitpos = {src: t for t, src in enumerate(missing)}
+    equations = []
+    for i in idx:
+        if i <= codec.k:
+            continue
+        mask = codec.parity_mask(i - codec.k)
+        coeffs = 0
+        while mask:
+            low = mask & -mask
+            src = low.bit_length()
+            if src in bitpos:
+                coeffs |= 1 << bitpos[src]
+            mask ^= low
+        equations.append(coeffs)
+    pinned = set()
+    for row in gf2.reduce_echelon(equations):
+        if row.bit_count() == 1:
+            pinned.add(missing[row.bit_length() - 1])
+    return frozenset(m for m in missing if m not in pinned)
+
+
+@lru_cache(maxsize=None)
+def _polar(k: int, p: int):
+    return polar_for_parity(k, p, 0.05)
+
+
+@lru_cache(maxsize=None)
+def _mds(n: int, k: int):
+    return build_mds(n, k)
+
+
+@st.composite
+def codecs(draw, max_k: int = 40, families=("fountain", "polar", "explicit")):
+    """A fountain (bounded or not), polar, explicit xor or MDS codec."""
+    k = draw(st.integers(1, max_k))
+    family = draw(st.sampled_from(families))
+    if family == "mds":
+        return _mds(k + draw(st.integers(1, 12)), k)
+    if family == "fountain":
+        n = draw(st.one_of(st.none(), st.integers(k, k + 12)))
+        return FountainCode(k, draw(st.integers(0, 2**64 - 1)), n=n)
+    if family == "polar":
+        return _polar(k, draw(st.integers(0, 12)))
+    masks = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=12))
+    return ExplicitXorCodec(k, masks)
+
+
+def _outcome(fn, received):
+    try:
+        return fn(received)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_oracle_matches_reference_path(data):
+    codec = data.draw(codecs())
+    k = codec.k
+    limit = codec.parity_limit if codec.parity_limit is not None else 12
+    # duplicates, any order, indices below 1 and parity indices past the limit
+    received = data.draw(st.lists(st.integers(-2, k + limit + 2), max_size=k + limit + 4))
+    got = _outcome(codec.unrecovered_sources, iter(received))
+    want = _outcome(lambda r: reference_unrecovered(codec, r), iter(received))
+    assert got == want
+    if got is ValueError:
+        assert codec.parity_limit is not None
+        assert max(received) > k + codec.parity_limit
+        assert not set(range(1, k + 1)) <= set(received)
+    else:
+        assert got <= frozenset(range(1, k + 1))
+        assert not got & set(received)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_decode_agrees_with_oracle_and_returns_source_bytes(data):
+    codec = data.draw(codecs(max_k=24, families=("mds", "fountain", "polar", "explicit")))
+    k = codec.k
+    p = codec.parity_limit if codec.parity_limit is not None else data.draw(st.integers(0, 12))
+    gen = random.Random(data.draw(st.integers(0, 2**32)))
+    source = [gen.randbytes(16) for _ in range(k)]
+    packets = dict(enumerate(source + codec.encode(source, p), start=1))
+    received = data.draw(st.sets(st.sampled_from(sorted(packets))))
+    result = codec.decode({i: packets[i] for i in received})
+    assert result.unrecoverable == codec.unrecovered_sources(received)
+    assert set(result.recovered) | result.unrecoverable == set(range(1, k + 1))
+    for i, pkt in result.recovered.items():
+        assert pkt == source[i - 1]
+
+
+def test_oracle_ignores_indices_below_one_and_checks_parity_range_once():
+    codec = ExplicitXorCodec(3, [0b011, 0b110])
+    assert codec.unrecovered_sources([0, -5, 1, 4]) == frozenset({3})
+    assert codec.unrecovered_sources([1, 2, 3, 99]) == frozenset()
+    try:
+        codec.unrecovered_sources([1, 2, 4, 6])
+    except ValueError as exc:
+        assert "parity index 3 out of range" in str(exc)
+    else:
+        raise AssertionError("expected ValueError for parity index 3 of 2")

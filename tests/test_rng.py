@@ -79,3 +79,15 @@ def test_mask_partition_independence():
         rng.erasure_masks(11, 400, 600, 20, 0.3),
     ])
     assert (whole == parts).all()
+
+
+def test_seeds_outside_64_bits_are_rejected_not_aliased():
+    assert rng.substream(0, rng.STREAM_RECEIVER) != rng.substream(rng.MASK64,
+                                                                  rng.STREAM_RECEIVER)
+    for seed in (-1, 2**64, 2**64 + 5):
+        try:
+            rng.substream(seed, rng.STREAM_RECEIVER)
+        except ValueError as exc:
+            assert "seed" in str(exc)
+        else:
+            raise AssertionError(f"expected ValueError for seed {seed}")
