@@ -3,14 +3,59 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from erasurelab.cli import main
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# stdout of each run is golden/<name>.txt; a run ending in --csv writes golden/<name>.csv
+GOLDEN_RUNS = {
+    "construct": ("construct", "--k", 3, "--parity", 1, "--json"),
+    "plan": ("plan", "--family", "polar", "--k", 8, "--pe", 0.05, "--plr-target", 1e-3,
+             "--seed", 2, "--receivers", 5000, "--json"),
+    "plr": ("plr", "--family", "polar", "--n", 16, "--k", 8, "--pe", 0.05, "--method", "mc",
+            "--receivers", 3000, "--seed", 9, "--json", "--csv"),
+    "multicast": ("multicast", "--k", 6, "--pe", 0.1, "--emax", 2,
+                  "--families", "fountain,polar,mds", "--seed", 21, "--json", "--csv"),
+}
+
+
 def run(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_output_matches_golden_byte_for_byte(name, tmp_path):
+    args = GOLDEN_RUNS[name]
+    csv_path = tmp_path / f"{name}.csv"
+    if args[-1] == "--csv":
+        args += (csv_path,)
+    result = run(*args)
+    assert result.exit_code == 0
+    assert result.output == (GOLDEN / f"{name}.txt").read_bytes().decode()
+    if csv_path in args:
+        assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_bench_key_order():
+    # timings vary, so only the keys and their order are fixed
+    result = run("bench", "--family", "fountain", "--k", 8, "--parity", 4,
+                 "--size", 256, "--iters", 100, "--seed", 9, "--json")
+    assert result.exit_code == 0
+    text, _, blob = result.output.partition("{")
+    assert [line.split(": ", 1)[0] for line in text.splitlines()] == [
+        "family", "k", "parity", "erasures", "size", "iterations", "encode_ns_med",
+        "decode_ns_med", "encode_mbytes_per_s", "decode_complete", "model_ops_per_column"]
+    payload = json.loads("{" + blob)
+    assert list(payload) == ["schema_version", "command", "rows"]
+    assert payload["command"] == "bench"
+    assert [list(row) for row in payload["rows"]] == [
+        ["family", "k", "parity", "erasures", "size", "encode_ns_med", "decode_ns_med"]]
 
 
 def test_construct_prints_channel_split_golden():
