@@ -41,6 +41,26 @@ def _json_value(value):
     return value
 
 
+def show(fields: dict) -> None:
+    """Print `key: value` lines. None values are skipped, a list is joined with
+    commas, and a tuple gives one `key[j]: item` line per item (j from 1)."""
+    for key, value in fields.items():
+        if isinstance(value, tuple):
+            for j, item in enumerate(value, start=1):
+                click.echo(f"{key}[{j}]: {item}")
+        elif isinstance(value, list):
+            click.echo(f"{key}: " + ",".join(fmt(v) for v in value))
+        elif value is not None:
+            click.echo(f"{key}: {fmt(value)}")
+
+
+def show_json(command: str, payload: dict) -> None:
+    """Print payload as one JSON object behind the schema version and command."""
+    out = {"schema_version": SCHEMA_VERSION, "command": command}
+    out.update((key, _json_value(value)) for key, value in payload.items())
+    click.echo(json.dumps(out, indent=2))
+
+
 def emit(rows: list[dict], fields: list[str], as_json: bool, csv_path: str | None,
          command: str) -> None:
     if csv_path:
@@ -50,12 +70,8 @@ def emit(rows: list[dict], fields: list[str], as_json: bool, csv_path: str | Non
             for row in rows:
                 writer.writerow([fmt(row.get(f)) for f in fields])
     if as_json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "rows": [{f: _json_value(row.get(f)) for f in fields} for row in rows],
-        }
-        click.echo(json.dumps(payload, indent=2))
+        show_json(command, {"rows": [{f: _json_value(row.get(f)) for f in fields}
+                                     for row in rows]})
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -85,38 +101,22 @@ def construct(family, k, parity, epsilon, as_json):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     c = codec.construction
-    masks = c.reservoir_masks()[:parity]
-    raw = c.raw_degrees()[:parity]
-    eff = c.effective_degrees()[:parity]
-    click.echo(f"family: {family}")
-    click.echo(f"block_length: {c.block_length}")
-    click.echo(f"k: {c.k}")
-    click.echo(f"parity: {parity}")
-    click.echo(f"epsilon: {fmt(c.epsilon)}")
-    click.echo("info_channels: " + ",".join(str(ch) for ch in c.info_channels))
-    click.echo("parity_channels: " + ",".join(str(ch) for ch in c.parity_channels))
-    for j, mask in enumerate(masks, start=1):
-        bits = "".join("1" if (mask >> t) & 1 else "0" for t in range(c.k))
-        click.echo(f"reservoir[{j}]: {bits}")
-    click.echo("raw_degrees: " + ",".join(str(d) for d in raw))
-    click.echo("effective_degrees: " + ",".join(str(d) for d in eff))
+    fields = {
+        "family": family,
+        "block_length": c.block_length,
+        "k": c.k,
+        "parity": parity,
+        "epsilon": c.epsilon,
+        "info_channels": list(c.info_channels),
+        "parity_channels": list(c.parity_channels),
+        "reservoir": tuple("".join("1" if (m >> t) & 1 else "0" for t in range(c.k))
+                           for m in c.reservoir[:parity]),
+        "raw_degrees": c.raw_degrees()[:parity],
+        "effective_degrees": c.effective_degrees()[:parity],
+    }
+    show(fields)
     if as_json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "construct",
-            "family": family,
-            "block_length": c.block_length,
-            "k": c.k,
-            "parity": parity,
-            "epsilon": _json_value(c.epsilon),
-            "info_channels": list(c.info_channels),
-            "parity_channels": list(c.parity_channels),
-            "reservoir": ["".join("1" if (m >> t) & 1 else "0" for t in range(c.k))
-                          for m in masks],
-            "raw_degrees": raw,
-            "effective_degrees": eff,
-        }
-        click.echo(json.dumps(payload, indent=2))
+        show_json("construct", fields)
 
 
 @main.command()
@@ -144,29 +144,11 @@ def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
         click.echo(f"target {fmt(plr_target)} unreachable for family {family} "
                    f"at k={k}, pe={fmt(pe)}", err=True)
         sys.exit(3)
-    click.echo(f"family: {plan.family}")
-    click.echo(f"k: {plan.k}")
-    click.echo(f"p: {plan.p}")
-    click.echo(f"n: {plan.n}")
-    if plan.block_length is not None:
-        click.echo(f"block_length: {plan.block_length}")
-    click.echo(f"plr: {fmt(plan.plr)}")
-    click.echo(f"method: {plan.method}")
+    fields = {"family": plan.family, "k": plan.k, "p": plan.p, "n": plan.n,
+              "block_length": plan.block_length, "plr": plan.plr, "method": plan.method}
+    show(fields)
     if as_json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "plan",
-            "family": plan.family,
-            "k": plan.k,
-            "p": plan.p,
-            "n": plan.n,
-            "block_length": plan.block_length,
-            "plr": _json_value(plan.plr),
-            "method": plan.method,
-            "receivers": plan.receivers,
-            "seed": plan.seed,
-        }
-        click.echo(json.dumps(payload, indent=2))
+        show_json("plan", {**fields, "receivers": plan.receivers, "seed": plan.seed})
 
 
 @main.command()
@@ -206,14 +188,7 @@ def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
     row = {"family": report.family, "n": report.n, "k": report.k, "pe": report.p_e,
            "method": report.method, "receivers": report.receivers,
            "seed": report.seed, "plr": report.plr}
-    click.echo(f"family: {report.family}")
-    click.echo(f"n: {report.n}")
-    click.echo(f"k: {report.k}")
-    click.echo(f"pe: {fmt(report.p_e)}")
-    click.echo(f"method: {report.method}")
-    if report.receivers is not None:
-        click.echo(f"receivers: {report.receivers}")
-    click.echo(f"plr: {fmt(report.plr)}")
+    show({f: v for f, v in row.items() if f != "seed"})
     emit([row], PLR_FIELDS, as_json, csv_path, "plr")
 
 
@@ -246,18 +221,16 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
         raise click.UsageError(str(exc))
     eps = epsilon if epsilon is not None else pe
     rows = []
+    polar = None  # fountain's parity budget is the polar reservoir's size
     try:
         for fam in fams:
             if fam == "mds":
                 codec = build_mds(k + emax, k)
                 fam_rounds = rounds if rounds is not None else emax
-            elif fam == "polar":
-                codec = polar_for_parity(k, emax, eps)
-                fam_rounds = rounds if rounds is not None else codec.parity_limit
             else:
-                budget = polar_for_parity(k, emax, eps).parity_limit
-                fam_rounds = rounds if rounds is not None else budget
-                codec = FountainCode(k, seed, n=k + fam_rounds)
+                polar = polar or polar_for_parity(k, emax, eps)
+                fam_rounds = rounds if rounds is not None else polar.parity_limit
+                codec = polar if fam == "polar" else FountainCode(k, seed, n=k + fam_rounds)
             table = multicast.simulate_incremental(codec, patterns, rounds=fam_rounds)
             curve = multicast.weighted_cdf(table, patterns, partial=partial)
             for t, fraction in curve.points:
@@ -290,22 +263,15 @@ def bench_cmd(family, k, parity, erasures, size, iters, seed, as_json, csv_path)
                                    erasure_count=erasures, iterations=iters, seed=seed)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    click.echo(f"family: {report.family}")
-    click.echo(f"k: {report.k}")
-    click.echo(f"parity: {report.p}")
-    click.echo(f"erasures: {report.erasure_count}")
-    click.echo(f"size: {report.packet_size}")
-    click.echo(f"iterations: {report.iterations}")
-    click.echo(f"encode_ns_med: {fmt(report.encode.median_ns)}")
-    click.echo(f"decode_ns_med: {fmt(report.decode.median_ns)}")
-    click.echo(f"encode_mbytes_per_s: {fmt(report.encode_mbytes_per_s)}")
-    click.echo(f"decode_complete: {report.decode_complete}")
-    click.echo(f"model_ops_per_column: {fmt(report.model.per_column)}")
-    row = {"family": report.family, "k": report.k, "parity": report.p,
-           "erasures": report.erasure_count, "size": report.packet_size,
-           "encode_ns_med": report.encode.median_ns,
-           "decode_ns_med": report.decode.median_ns}
-    emit([row], BENCH_FIELDS, as_json, csv_path, "bench")
+    fields = {"family": report.family, "k": report.k, "parity": report.p,
+              "erasures": report.erasure_count, "size": report.packet_size,
+              "iterations": report.iterations, "encode_ns_med": report.encode.median_ns,
+              "decode_ns_med": report.decode.median_ns,
+              "encode_mbytes_per_s": report.encode_mbytes_per_s,
+              "decode_complete": report.decode_complete,
+              "model_ops_per_column": report.model.per_column}
+    show(fields)
+    emit([fields], BENCH_FIELDS, as_json, csv_path, "bench")
 
 
 if __name__ == "__main__":

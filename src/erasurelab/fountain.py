@@ -30,10 +30,9 @@ class FountainCode(SystematicXorCodec):
         return None if self.n is None else self.n - self.k
 
     def parity_mask(self, j: int) -> int:
-        if j < 1:
-            raise ValueError(f"parity index {j} out of range")
         mask = self._columns.get(j)
-        if mask is None:
+        if mask is None:  # only checked indices are ever stored
+            self._check_parity_index(j)
             mask = rng.bits(rng.word(self._stream, j), self.k)
             self._columns[j] = mask
         return mask
@@ -41,7 +40,3 @@ class FountainCode(SystematicXorCodec):
     def __repr__(self) -> str:
         return f"FountainCode(k={self.k}, seed={self.seed})"
 
-
-def fountain_column(code: FountainCode, j: int) -> int:
-    """Parity column j as a k-bit mask; bit t-1 selects source packet t."""
-    return code.parity_mask(j)

@@ -6,7 +6,7 @@ All operations are pure functions on immutable matrices.
 """
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 KERNEL_POWER_CAP = 16
 
@@ -27,45 +27,12 @@ class BitMatrix:
         self._data = packed
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        if not rows:
-            raise ValueError("matrix must have at least one row and one column")
-        cols = len(rows[0])
-        data = []
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            data.append(sum((1 << j) for j, v in enumerate(row) if v & 1))
-        return cls(len(rows), cols, data)
 
     def row(self, i: int) -> int:
         """Packed row i (0-based)."""
         return self._data[i]
-
-    def column(self, j: int) -> int:
-        """Column j (0-based) packed over rows, bit i = row i."""
-        out = 0
-        for i, r in enumerate(self._data):
-            if (r >> j) & 1:
-                out |= 1 << i
-        return out
-
-    def get(self, i: int, j: int) -> int:
-        return (self._data[i] >> j) & 1
-
-    def to_rows(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self._data]
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BitMatrix":
         """Submatrix with the given 0-based row and column indices, in order."""
@@ -79,9 +46,6 @@ class BitMatrix:
         if not isinstance(other, BitMatrix):
             return NotImplemented
         return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -130,17 +94,6 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows, b.cols, out)
 
 
-def row_vector_times(vec: Sequence[int], b: BitMatrix) -> list[int]:
-    """Row vector times matrix over GF(2); vec is a 0/1 sequence."""
-    if len(vec) != b.rows:
-        raise ValueError("dimension mismatch")
-    acc = 0
-    for i, v in enumerate(vec):
-        if v & 1:
-            acc ^= b.row(i)
-    return [(acc >> j) & 1 for j in range(b.cols)]
-
-
 def reduce_echelon(rows: Iterable[int]) -> list[int]:
     """Canonical reduced echelon basis of the row space, sorted by pivot bit.
 
@@ -183,47 +136,3 @@ def reduce_augmented(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
                 basis[pk] = (qk ^ r, qkrhs ^ rhs)
         basis[p] = (r, rhs)
     return [basis[p] for p in sorted(basis)]
-
-
-def rank(a: BitMatrix) -> int:
-    return len(reduce_echelon(a.row(i) for i in range(a.rows)))
-
-
-def invert(a: BitMatrix) -> BitMatrix | None:
-    """Inverse over GF(2), or None when the matrix is singular."""
-    if a.rows != a.cols:
-        raise ValueError("only square matrices can be inverted")
-    n = a.rows
-    # augmented rows [A | I]; Jordan elimination on the low n bits
-    aug = [a.row(i) | (1 << (n + i)) for i in range(n)]
-    done = 0
-    for col in range(n):
-        pivot = None
-        for i in range(done, n):
-            if (aug[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        aug[done], aug[pivot] = aug[pivot], aug[done]
-        for i in range(n):
-            if i != done and (aug[i] >> col) & 1:
-                aug[i] ^= aug[done]
-        done += 1
-    return BitMatrix(n, n, [r >> n for r in aug])
-
-
-def solve_partial(equations: BitMatrix, unknown_indices: Sequence[Hashable]) -> set:
-    """Unknowns uniquely determined by a consistent xor equation system.
-
-    Column c of `equations` is the coefficient of unknown_indices[c]. An
-    unknown is determined exactly when its unit vector lies in the row space,
-    which after full reduction shows up as a weight-1 basis row.
-    """
-    if len(unknown_indices) != equations.cols:
-        raise ValueError("one label per column required")
-    determined = set()
-    for row in reduce_echelon(equations.row(i) for i in range(equations.rows)):
-        if row.bit_count() == 1:
-            determined.add(unknown_indices[row.bit_length() - 1])
-    return determined

@@ -56,7 +56,6 @@ class CdfCurve:
     e_max: int
     points: tuple[tuple[int, float], ...]
     partial: bool = False
-    parity_lossless: bool = True
 
 
 def enumerate_patterns(k: int, e_max: int, p_e: float, cap: int = PATTERN_CAP) -> PatternSet:

@@ -8,7 +8,7 @@ is transmitted first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import gf2
@@ -71,11 +71,11 @@ def channel_split(levels: int, k: int, epsilon: float) -> tuple[tuple[int, ...],
 class PolarConstruction:
     """Result of the systematic construction.
 
-    Row t of the reservoir corresponds to source packet t, which rides on
-    info_channels[t-1]. Column j of the reservoir is the parity packet for
-    parity_channels[j-1], already restricted to the information rows: the
-    frozen rows carry no information, so their ones simply disappear from
-    the column.
+    Entry j-1 of the reservoir is the k-bit column mask of the parity packet
+    for parity_channels[j-1]; bit t-1 stands for source packet t, which rides
+    on info_channels[t-1]. The column is already restricted to the
+    information rows: the frozen rows carry no information, so their ones
+    simply disappear from the mask.
     """
 
     block_length: int
@@ -83,8 +83,7 @@ class PolarConstruction:
     epsilon: float
     info_channels: tuple[int, ...]
     parity_channels: tuple[int, ...]
-    reservoir: BitMatrix
-    channel_erasure: tuple[float, ...] = field(repr=False)
+    reservoir: tuple[int, ...]
 
     @property
     def parity_count(self) -> int:
@@ -92,7 +91,7 @@ class PolarConstruction:
 
     def reservoir_masks(self) -> list[int]:
         """Reservoir columns as k-bit masks, bit t-1 = source packet t."""
-        return [self.reservoir.column(j) for j in range(self.parity_count)]
+        return list(self.reservoir)
 
     def raw_degrees(self) -> list[int]:
         """Ones per reservoir column counted over the full kernel power."""
@@ -104,7 +103,7 @@ class PolarConstruction:
 
     def effective_degrees(self) -> list[int]:
         """Ones per reservoir column after the frozen rows are dropped."""
-        return [self.reservoir.column(j).bit_count() for j in range(self.parity_count)]
+        return [mask.bit_count() for mask in self.reservoir]
 
 
 def construct_systematic(levels: int, k: int, epsilon: float) -> PolarConstruction:
@@ -126,10 +125,10 @@ def construct_systematic(levels: int, k: int, epsilon: float) -> PolarConstructi
         raise ConstructionError(
             f"information submatrix is not self-inverse for levels={levels}, "
             f"k={k}, epsilon={epsilon}")
-    reservoir = BitMatrix(k, n - k, [
-        sum((1 << j) for j, ch in enumerate(frozen) if gf2.kernel_entry(info[t] - 1, ch - 1))
-        for t in range(k)
-    ])
+    reservoir = tuple(
+        sum((1 << t) for t in range(k) if gf2.kernel_entry(info[t] - 1, ch - 1))
+        for ch in frozen
+    )
     return PolarConstruction(
         block_length=n,
         k=k,
@@ -137,7 +136,6 @@ def construct_systematic(levels: int, k: int, epsilon: float) -> PolarConstructi
         info_channels=info,
         parity_channels=frozen,
         reservoir=reservoir,
-        channel_erasure=tuple(bhattacharyya(levels, epsilon)),
     )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from erasurelab import cli
 from erasurelab.cli import main
 
 
@@ -189,6 +190,17 @@ def test_multicast_fountain_deterministic_with_seed():
     b = run(*args)
     assert a.exit_code == 0
     assert a.output == b.output
+
+
+def test_multicast_builds_one_polar_codec_for_fountain_and_polar(monkeypatch):
+    calls = []
+    real = cli.polar_for_parity
+    monkeypatch.setattr(cli, "polar_for_parity",
+                        lambda *args: calls.append(args) or real(*args))
+    result = run("multicast", "--k", 6, "--pe", 0.1, "--emax", 2,
+                 "--families", "fountain,polar", "--seed", 21)
+    assert result.exit_code == 0
+    assert calls == [(6, 2, 0.1)]
 
 
 def test_multicast_rejects_unknown_family():

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from erasurelab import FountainCode
-from erasurelab.fountain import fountain_column
 from erasurelab.gf2 import reduce_echelon
 
 
@@ -22,10 +21,15 @@ def test_columns_are_deterministic_per_seed():
     assert masks_a != masks_c
 
 
-def test_fountain_column_function_matches_method():
-    code = FountainCode(9, seed=3)
-    for j in (1, 2, 17):
-        assert fountain_column(code, j) == code.parity_mask(j)
+def test_bounded_code_rejects_parity_past_its_limit():
+    # n=6 leaves parity 1..2; index 9 is parity 5, which the code never sends
+    code = FountainCode(4, 1, n=6)
+    with pytest.raises(ValueError, match="parity index 5 out of range"):
+        code.unrecovered_sources([1, 2, 9])
+    with pytest.raises(ValueError):
+        code.decode({1: b"a", 2: b"b", 9: b"c"})
+    assert code.unrecovered_sources([1, 2, 5, 6]) == code.decode(
+        {1: b"a", 2: b"b", 5: b"c", 6: b"d"}).unrecoverable
 
 
 def test_mean_column_degree_is_half_k():

@@ -13,23 +13,34 @@ def list_rank(rows: list[list[int]]) -> int:
     """Independent rank oracle on 0/1 lists, plain elimination."""
     rows = [r[:] for r in rows]
     cols = len(rows[0]) if rows else 0
-    rank = 0
+    done = 0
     for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        pivot = next((i for i in range(done, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[done], rows[pivot] = rows[pivot], rows[done]
         for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+            if i != done and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[done])]
+        done += 1
+    return done
+
+
+def bits(m: BitMatrix, i: int) -> list[int]:
+    """Row i of m as a 0/1 list, column 0 first."""
+    return [(m.row(i) >> j) & 1 for j in range(m.cols)]
+
+
+def determined(rows: list[int]) -> set[int]:
+    """Unknowns (bit positions) pinned by the xor equations: the weight-1
+    rows of the reduced echelon basis."""
+    return {r.bit_length() - 1 for r in gf2.reduce_echelon(rows) if r.bit_count() == 1}
 
 
 def test_kernel_power_small_goldens():
-    assert kernel_power(0).to_rows() == [[1]]
-    assert kernel_power(1).to_rows() == [[1, 0], [1, 1]]
-    assert kernel_power(2).to_rows() == [
+    assert [bits(kernel_power(0), i) for i in range(1)] == [[1]]
+    assert [bits(kernel_power(1), i) for i in range(2)] == [[1, 0], [1, 1]]
+    assert [bits(kernel_power(2), i) for i in range(4)] == [
         [1, 0, 0, 0],
         [1, 1, 0, 0],
         [1, 0, 1, 0],
@@ -39,7 +50,11 @@ def test_kernel_power_small_goldens():
 
 def test_all_ones_vector_times_kernel():
     # xor of all four rows of the 4x4 kernel leaves only the last column
-    assert gf2.row_vector_times([1, 1, 1, 1], kernel_power(2)) == [0, 0, 0, 1]
+    g = kernel_power(2)
+    acc = 0
+    for i in range(4):
+        acc ^= g.row(i)
+    assert acc == 0b1000
 
 
 def test_kernel_power_square_is_identity():
@@ -61,7 +76,7 @@ def test_kernel_entry_matches_matrix():
         n = 1 << m
         for i in range(n):
             for j in range(n):
-                assert kernel_entry(i, j) == g.get(i, j)
+                assert kernel_entry(i, j) == (g.row(i) >> j) & 1
 
 
 def test_kernel_is_persymmetric():
@@ -70,7 +85,7 @@ def test_kernel_is_persymmetric():
         n = 1 << m
         for i in range(n):
             for j in range(n):
-                assert g.get(i, j) == g.get(n - 1 - j, n - 1 - i)
+                assert (g.row(i) >> j) & 1 == (g.row(n - 1 - j) >> (n - 1 - i)) & 1
 
 
 def test_multiply_associative_random():
@@ -94,25 +109,9 @@ def test_rank_matches_list_oracle():
     for _ in range(200):
         r = rnd.randrange(1, 9)
         c = rnd.randrange(1, 9)
-        m = BitMatrix(r, c, [rnd.getrandbits(c) for _ in range(r)])
-        assert gf2.rank(m) == list_rank(m.to_rows())
-
-
-def test_invert_round_trip_and_singular():
-    rnd = random.Random(31337)
-    inverted = 0
-    for _ in range(300):
-        n = rnd.randrange(1, 9)
-        m = BitMatrix(n, n, [rnd.getrandbits(n) for _ in range(n)])
-        inv = gf2.invert(m)
-        if list_rank(m.to_rows()) < n:
-            assert inv is None
-        else:
-            assert inv is not None
-            assert gf2.multiply(m, inv) == BitMatrix.identity(n)
-            assert gf2.multiply(inv, m) == BitMatrix.identity(n)
-            inverted += 1
-    assert inverted > 50
+        rows = [rnd.getrandbits(c) for _ in range(r)]
+        as_lists = [[(row >> j) & 1 for j in range(c)] for row in rows]
+        assert len(gf2.reduce_echelon(rows)) == list_rank(as_lists)
 
 
 def test_reduce_echelon_canonical_under_row_order():
@@ -132,47 +131,31 @@ def test_reduce_augmented_tracks_payload():
     assert (0b10, 3) in reduced
 
 
-def test_solve_partial_simple_chain():
-    # unknowns a, b with equations a^b and b: both determined
-    eqs = BitMatrix(2, 2, [0b11, 0b10])
-    assert gf2.solve_partial(eqs, ["a", "b"]) == {"a", "b"}
-    # a^b alone determines neither
-    eqs = BitMatrix(1, 2, [0b11])
-    assert gf2.solve_partial(eqs, ["a", "b"]) == set()
+def test_weight_one_rows_pin_a_simple_chain():
+    # unknowns 0, 1 with equations x0^x1 and x1: both determined
+    assert determined([0b11, 0b10]) == {0, 1}
+    # x0^x1 alone determines neither
+    assert determined([0b11]) == set()
 
 
-def test_solve_partial_partial_determination():
-    # a determined directly, b^c entangled
-    eqs = BitMatrix(2, 3, [0b001, 0b110])
-    assert gf2.solve_partial(eqs, ["a", "b", "c"]) == {"a"}
+def test_weight_one_rows_pin_partially():
+    # x0 determined directly, x1^x2 entangled
+    assert determined([0b001, 0b110]) == {0}
 
 
-def test_solve_partial_invariant_under_equation_order():
+def test_weight_one_rows_invariant_under_equation_order():
     rnd = random.Random(8)
     for _ in range(50):
         n = rnd.randrange(2, 7)
         rows = [rnd.getrandbits(n) for _ in range(rnd.randrange(1, 9))]
-        labels = list(range(n))
-        base = gf2.solve_partial(BitMatrix(len(rows), n, rows), labels)
         shuffled = rows[:]
         rnd.shuffle(shuffled)
-        again = gf2.solve_partial(BitMatrix(len(shuffled), n, shuffled), labels)
-        assert base == again
+        assert determined(rows) == determined(shuffled)
 
 
-def test_solve_partial_label_count_check():
-    with pytest.raises(ValueError):
-        gf2.solve_partial(BitMatrix.identity(3), ["a", "b"])
-
-
-def test_submatrix_and_transpose():
-    g = kernel_power(2)
-    sub = g.submatrix([1, 3], [0, 1])
-    assert sub.to_rows() == [[1, 1], [1, 1]]
-    t = g.transpose()
-    for i in range(4):
-        for j in range(4):
-            assert t.get(j, i) == g.get(i, j)
+def test_submatrix():
+    sub = kernel_power(2).submatrix([1, 3], [0, 1])
+    assert [bits(sub, i) for i in range(2)] == [[1, 1], [1, 1]]
 
 
 def test_bitmatrix_rejects_empty_shapes():
