@@ -8,16 +8,18 @@ The Monte-Carlo path simulates independent receivers against a real codec.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import rng
+from . import gf2, rng
 from .codec import FAMILIES
 
 DEFAULT_RECEIVERS = 50_000
+PARITY_SCAN_CAP = 128  # min_parity gives up past this many parity packets
 _BATCH = 1 << 18
 
 
@@ -141,27 +143,6 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
     return PlrReport(family="fountain", n=n, k=k, p_e=p_e, plr=plr, method="analytic")
 
 
-def _count_losses(codec, n: int, masks: np.ndarray, counts: np.ndarray,
-                  cache: dict[int, int]) -> int:
-    """Lost source packets summed over distinct erasure masks weighted by
-    their counts; `cache` maps a mask to its loss within one evaluation."""
-    full = (1 << n) - 1
-    total = 0
-    for mask, cnt in zip(masks.tolist(), counts.tolist()):
-        loss = cache.get(mask)
-        if loss is None:
-            survivors = []
-            free = ~mask & full
-            while free:
-                low = free & -free
-                survivors.append(low.bit_length())
-                free ^= low
-            loss = len(codec.unrecovered_sources(survivors))
-            cache[mask] = loss
-        total += loss * cnt
-    return total
-
-
 def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RECEIVERS,
                   seed: int = 0, workers: int = 1) -> PlrReport:
     """Monte-Carlo loss rate over independent simulated receivers.
@@ -180,7 +161,12 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     if workers < 1:
         raise ValueError("need at least one worker")
 
-    cache: dict[int, int] = {}  # shared by the worker ranges of this call
+    # maps an erasure mask to its lost source count; shared by the worker
+    # ranges of this call, which fill it under the lock so that each
+    # distinct mask reaches the oracle exactly once
+    cache: dict[int, int] = {}
+    lock = threading.Lock()
+    full = (1 << n) - 1
 
     def run_range(first: int, count: int) -> int:
         total = 0
@@ -189,7 +175,12 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
             step = min(_BATCH, count - done)
             batch = rng.erasure_masks(seed, first + done, step, n, p_e)
             uniq, cnts = np.unique(batch, return_counts=True)
-            total += _count_losses(codec, n, uniq, cnts, cache)
+            masks = uniq.tolist()
+            with lock:
+                for mask in masks:
+                    if mask not in cache:
+                        cache[mask] = len(codec.unrecovered_sources(gf2.ones(~mask & full)))
+            total += sum(cache[mask] * cnt for mask, cnt in zip(masks, cnts.tolist()))
             done += step
         return total
 
@@ -202,20 +193,20 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             lost = sum(pool.map(lambda ab: run_range(*ab), ranges))
     plr = lost / (receivers * k)
-    return PlrReport(family=getattr(codec, "spec").family, n=n, k=k, p_e=p_e,
+    return PlrReport(family=codec.spec.family, n=n, k=k, p_e=p_e,
                      plr=plr, method="mc", receivers=receivers, seed=seed)
 
 
 def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
-               receivers: int = DEFAULT_RECEIVERS, seed: int = 0, workers: int = 1,
-               p_max: int = 128) -> ParityPlan | None:
+               receivers: int = DEFAULT_RECEIVERS, seed: int = 0,
+               workers: int = 1) -> ParityPlan | None:
     """Smallest parity count whose predicted loss rate meets the target.
 
     MDS and fountain use their analytic expressions; polar has no closed form
     and is measured empirically, on at most rng.MAX_PACKETS packets per block.
     Residual loss shrinks as parity grows, so a linear scan from zero finds
     the minimum. Returns None when the target is unreachable within the
-    family's limits.
+    family's limits or PARITY_SCAN_CAP parity packets.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -226,7 +217,7 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     if not 0.0 < plr_target < 1.0:
         raise ValueError(f"loss target must be in (0, 1), got {plr_target}")
 
-    for p in range(p_max + 1):
+    for p in range(PARITY_SCAN_CAP + 1):
         n = k + p
         if family == "mds" and n > 256:
             return None

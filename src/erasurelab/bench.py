@@ -49,20 +49,10 @@ class BenchReport:
     model: OpCount
 
     @property
-    def encode_packets_per_s(self) -> float:
-        return self.p / (self.encode.median_ns * 1e-9) if self.p else 0.0
-
-    @property
     def encode_mbytes_per_s(self) -> float:
         if not self.p:
             return 0.0
         return (self.p * self.packet_size) / (self.encode.median_ns * 1e-9) / 1e6
-
-    @property
-    def decode_mbytes_per_s(self) -> float:
-        if not self.erasure_count:
-            return 0.0
-        return (self.erasure_count * self.packet_size) / (self.decode.median_ns * 1e-9) / 1e6
 
 
 def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,

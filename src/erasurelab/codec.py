@@ -104,54 +104,36 @@ class SystematicXorCodec:
         if any(len(s) != size for s in source):
             raise ValueError("source packets must have equal length")
         ints = [int.from_bytes(s, "little") for s in source]
-        out = []
-        for j in range(1, p + 1):
-            mask = self.parity_mask(j)
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc ^= ints[low.bit_length() - 1]
-                mask ^= low
-            out.append(acc.to_bytes(size, "little"))
-        return out
+        return [gf2.xor_rows(col, ints).to_bytes(size, "little")
+                for col in self._parity_columns(list(range(1, p + 1)))]
 
     def decode(self, received) -> DecodeResult:
         """Gaussian elimination over the parity equations restricted to the
-        missing source packets; payloads ride along as xor right-hand sides."""
+        missing source packets, in the codec's own bit positions as in
+        unrecovered_sources; payloads ride along as xor right-hand sides."""
+        k = self.k
         limit = self.parity_limit
-        packets = normalize_received(received, None if limit is None else self.k + limit)
-        known = {i: pkt for i, pkt in packets.items() if i <= self.k}
-        missing = [i for i in range(1, self.k + 1) if i not in known]
+        packets = normalize_received(received, None if limit is None else k + limit)
+        recovered = {i: pkt for i, pkt in sorted(packets.items()) if i <= k}
+        ints = [0] * k  # each received source converted once
+        have = 0
+        for i, pkt in recovered.items():
+            ints[i - 1] = int.from_bytes(pkt, "little")
+            have |= 1 << (i - 1)
+        missing = ~have & ((1 << k) - 1)
         if not missing:
-            return DecodeResult(recovered=dict(sorted(known.items())),
-                                unrecoverable=frozenset())
+            return DecodeResult(recovered=recovered, unrecoverable=frozenset())
         size = len(next(iter(packets.values()))) if packets else 0
-        bitpos = {src: t for t, src in enumerate(missing)}
-        equations = []
-        for idx in sorted(packets):
-            if idx <= self.k:
-                continue
-            mask = self.parity_mask(idx - self.k)
-            rhs = int.from_bytes(packets[idx], "little")
-            coeffs = 0
-            while mask:
-                low = mask & -mask
-                src = low.bit_length()
-                if src in bitpos:
-                    coeffs |= 1 << bitpos[src]
-                else:
-                    rhs ^= int.from_bytes(known[src], "little")
-                mask ^= low
-            equations.append((coeffs, rhs))
-        recovered = dict(known)
-        pinned = set()
-        for coeffs, rhs in gf2.reduce_augmented(equations):
+        js = [i - k for i in sorted(packets) if i > k]
+        rows = [(col & missing,
+                 int.from_bytes(packets[k + j], "little") ^ gf2.xor_rows(col & have, ints))
+                for j, col in zip(js, self._parity_columns(js))]
+        for coeffs, rhs in gf2.reduce_augmented(rows):
             if coeffs.bit_count() == 1:
-                src = missing[coeffs.bit_length() - 1]
-                recovered[src] = rhs.to_bytes(size, "little")
-                pinned.add(src)
+                recovered[coeffs.bit_length()] = rhs.to_bytes(size, "little")
+                missing ^= coeffs
         return DecodeResult(recovered=dict(sorted(recovered.items())),
-                            unrecoverable=frozenset(m for m in missing if m not in pinned))
+                            unrecoverable=frozenset(gf2.ones(missing)))
 
     def _parity_columns(self, js: list[int]) -> list[int]:
         """Column masks of parity packets js, each at least 1."""
@@ -175,12 +157,7 @@ class SystematicXorCodec:
         for row in gf2.reduce_echelon([c & missing for c in self._parity_columns(parity)]):
             if row.bit_count() == 1:
                 missing ^= row
-        lost = []
-        while missing:
-            low = missing & -missing
-            lost.append(low.bit_length())
-            missing ^= low
-        return frozenset(lost)
+        return frozenset(gf2.ones(missing))
 
 
 class ExplicitXorCodec(SystematicXorCodec):

@@ -82,16 +82,26 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
     brows = [b.row(i) for i in range(b.rows)]
+    return BitMatrix(a.rows, b.cols, [xor_rows(a.row(i), brows) for i in range(a.rows)])
+
+
+def ones(mask: int) -> list[int]:
+    """1-based positions of the set bits of mask, lowest first."""
     out = []
-    for i in range(a.rows):
-        r = a.row(i)
-        acc = 0
-        while r:
-            low = r & -r
-            acc ^= brows[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, out)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def xor_rows(mask: int, rows: Sequence[int]) -> int:
+    """Xor of rows[t] over each set bit t of mask, bit 0 selecting rows[0];
+    0 when mask is 0."""
+    acc = 0
+    for t in ones(mask):
+        acc ^= rows[t - 1]
+    return acc
 
 
 def reduce_echelon(rows: Iterable[int]) -> list[int]:

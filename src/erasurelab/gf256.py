@@ -49,10 +49,6 @@ def gf_inv(a: int) -> int:
     return GF_EXP[255 - GF_LOG[a]]
 
 
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
-
-
 def gf_pow(a: int, e: int) -> int:
     if e == 0:
         return 1
@@ -154,6 +150,8 @@ class MdsCode:
         self.n = n
         self.k = k
         self.generator = generator
+        self._sources = frozenset(range(1, k + 1))
+        self._block = frozenset(range(1, n + 1))
 
     @property
     def spec(self) -> CodeSpec:
@@ -234,12 +232,18 @@ class MdsCode:
                             unrecoverable=frozenset())
 
     def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
-        """Systematic packets left missing after decoding that subset."""
+        """Systematic packets left missing after decoding that subset.
+        Indices below 1 are ignored; an index past n raises while a source is
+        missing, as in the xor codecs."""
         idx = set(received_indices)
-        missing = frozenset(i for i in range(1, self.k + 1) if i not in idx)
-        if len(idx) >= self.k:
-            return frozenset()
-        return missing
+        missing = self._sources.difference(idx)
+        if not missing:
+            return missing
+        if not idx <= self._block:
+            if max(idx) > self.n:
+                raise ValueError(f"parity index {max(idx) - self.k} out of range")
+            idx &= self._block
+        return frozenset() if len(idx) >= self.k else missing
 
     def __repr__(self) -> str:
         return f"MdsCode(n={self.n}, k={self.k})"

@@ -85,14 +85,6 @@ class PolarConstruction:
     parity_channels: tuple[int, ...]
     reservoir: tuple[int, ...]
 
-    @property
-    def parity_count(self) -> int:
-        return self.block_length - self.k
-
-    def reservoir_masks(self) -> list[int]:
-        """Reservoir columns as k-bit masks, bit t-1 = source packet t."""
-        return list(self.reservoir)
-
     def raw_degrees(self) -> list[int]:
         """Ones per reservoir column counted over the full kernel power."""
         out = []
@@ -143,7 +135,7 @@ class PolarCodec(ExplicitXorCodec):
     """Wire-format codec view of a PolarConstruction."""
 
     def __init__(self, construction: PolarConstruction):
-        super().__init__(construction.k, construction.reservoir_masks())
+        super().__init__(construction.k, construction.reservoir)
         self.construction = construction
 
     @property

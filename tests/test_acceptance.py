@@ -262,7 +262,7 @@ def test_criterion_08_multicast_cdf_shape():
 def test_criterion_09_reservoir_order_is_optimal():
     t0 = time.perf_counter()
     c = construct_systematic(4, 8, 0.05)
-    masks = c.reservoir_masks()
+    masks = list(c.reservoir)
     patterns = enumerate_patterns(8, 3, 0.05)
 
     def area(order):

@@ -183,6 +183,31 @@ def test_empirical_loss_cache_belongs_to_the_call():
     assert vars(codec) == before
 
 
+def test_empirical_sends_each_distinct_pattern_to_the_oracle_once():
+    def oracle_calls(seed: int, workers: int) -> int:
+        codec = polar_for_parity(12, 4, 0.05)
+        calls = []
+        oracle = codec.unrecovered_sources
+
+        def counting(indices):
+            calls.append(None)  # list.append is atomic across threads
+            return oracle(indices)
+
+        codec.unrecovered_sources = counting
+        plr_empirical(codec, 16, 12, 0.05, receivers=300_000, seed=seed, workers=workers)
+        return len(calls)
+
+    # worker threads that miss the shared cache on the same pattern at once
+    # must not both evaluate it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = [(oracle_calls(seed, 8), oracle_calls(seed, 1)) for seed in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(threaded == single for threaded, single in counts), counts
+
+
 def test_min_parity_validation():
     with pytest.raises(ValueError):
         min_parity("huffman", 8, 0.05, 0.01)

@@ -131,7 +131,7 @@ def test_default_rounds_use_parity_budget():
 
 def test_explicit_codec_permutation_changes_curve():
     c = construct_systematic(4, 8, 0.05)
-    masks = c.reservoir_masks()
+    masks = list(c.reservoir)
     patterns = enumerate_patterns(8, 3, 0.05)
     designed = ExplicitXorCodec(8, masks)
     shuffled = ExplicitXorCodec(8, masks[1:4] + [masks[0]] + masks[4:])

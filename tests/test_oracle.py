@@ -1,6 +1,6 @@
-"""Decodability oracle: the mask-native elimination of the xor codecs
-against the simple remap path, and decode against the oracle for every
-family."""
+"""Decodability oracle and decode: the mask-native elimination of the xor
+codecs against the simple remap paths, the MDS oracle against counting, and
+decode against the oracle for every family."""
 from __future__ import annotations
 
 import random
@@ -10,18 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erasurelab import build_mds, gf2
-from erasurelab.codec import ExplicitXorCodec
+from erasurelab.codec import DecodeResult, ExplicitXorCodec, normalize_received
 from erasurelab.fountain import FountainCode
+from erasurelab.gf256 import MdsCode
 from erasurelab.polar import polar_for_parity
 
 
 def reference_unrecovered(codec, received_indices) -> frozenset[int]:
     """Simple path: remap each parity column into a dense space of the
-    missing source packets, eliminate there and map the pinned bits back."""
+    missing source packets, eliminate there and map the pinned bits back.
+    An MDS block is whole once k distinct indices lie in 1..n."""
     idx = set(received_indices)
     missing = [i for i in range(1, codec.k + 1) if i not in idx]
     if not missing:
         return frozenset()
+    if isinstance(codec, MdsCode):
+        if any(i > codec.n for i in idx):
+            raise ValueError("index past the block")
+        in_block = sum(1 for i in idx if 1 <= i <= codec.n)
+        return frozenset() if in_block >= codec.k else frozenset(missing)
     bitpos = {src: t for t, src in enumerate(missing)}
     equations = []
     for i in idx:
@@ -41,6 +48,46 @@ def reference_unrecovered(codec, received_indices) -> frozenset[int]:
         if row.bit_count() == 1:
             pinned.add(missing[row.bit_length() - 1])
     return frozenset(m for m in missing if m not in pinned)
+
+
+def reference_decode(codec, received) -> DecodeResult:
+    """Simple path: remap each parity column into a dense space of the
+    missing source packets and subtract each known source from every row
+    that covers it; payloads ride along as xor right-hand sides."""
+    limit = codec.parity_limit
+    packets = normalize_received(received, None if limit is None else codec.k + limit)
+    known = {i: pkt for i, pkt in packets.items() if i <= codec.k}
+    missing = [i for i in range(1, codec.k + 1) if i not in known]
+    if not missing:
+        return DecodeResult(recovered=dict(sorted(known.items())),
+                            unrecoverable=frozenset())
+    size = len(next(iter(packets.values()))) if packets else 0
+    bitpos = {src: t for t, src in enumerate(missing)}
+    equations = []
+    for idx in sorted(packets):
+        if idx <= codec.k:
+            continue
+        mask = codec.parity_mask(idx - codec.k)
+        rhs = int.from_bytes(packets[idx], "little")
+        coeffs = 0
+        while mask:
+            low = mask & -mask
+            src = low.bit_length()
+            if src in bitpos:
+                coeffs |= 1 << bitpos[src]
+            else:
+                rhs ^= int.from_bytes(known[src], "little")
+            mask ^= low
+        equations.append((coeffs, rhs))
+    recovered = dict(known)
+    pinned = set()
+    for coeffs, rhs in gf2.reduce_augmented(equations):
+        if coeffs.bit_count() == 1:
+            src = missing[coeffs.bit_length() - 1]
+            recovered[src] = rhs.to_bytes(size, "little")
+            pinned.add(src)
+    return DecodeResult(recovered=dict(sorted(recovered.items())),
+                        unrecoverable=frozenset(m for m in missing if m not in pinned))
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +126,7 @@ def _outcome(fn, received):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_oracle_matches_reference_path(data):
-    codec = data.draw(codecs())
+    codec = data.draw(codecs(families=("fountain", "polar", "explicit", "mds")))
     k = codec.k
     limit = codec.parity_limit if codec.parity_limit is not None else 12
     # duplicates, any order, indices below 1 and parity indices past the limit
@@ -113,6 +160,38 @@ def test_decode_agrees_with_oracle_and_returns_source_bytes(data):
         assert pkt == source[i - 1]
 
 
+def _decoded(decode, received):
+    """Recovered items in order and the unrecoverable set, or the error."""
+    try:
+        result = decode(received)
+    except ValueError as exc:
+        return str(exc)
+    return list(result.recovered.items()), result.unrecoverable
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decode_matches_reference_decode(data):
+    codec = data.draw(codecs(max_k=24))
+    k = codec.k
+    p = codec.parity_limit if codec.parity_limit is not None else data.draw(st.integers(0, 12))
+    gen = random.Random(data.draw(st.integers(0, 2**32)))
+    size = data.draw(st.integers(1, 24))
+    source = [gen.randbytes(size) for _ in range(k)]
+    packets = dict(enumerate(source + codec.encode(source, p), start=1))
+    picked = data.draw(st.sets(st.sampled_from(sorted(packets))))
+    # corrupted parity payloads make the system inconsistent; both paths
+    # must still pin the same bytes
+    corrupt = data.draw(st.sets(st.sampled_from(sorted(packets)[k:]))) if p else set()
+    received = [(i, gen.randbytes(size) if i in corrupt else packets[i]) for i in picked]
+    # duplicates and indices outside 1..k+p, which an unbounded fountain accepts
+    extra = data.draw(st.lists(st.integers(-1, k + p + 3), max_size=2))
+    received += [(i, packets.get(i) or gen.randbytes(size)) for i in extra]
+    received = data.draw(st.permutations(received))
+    assert (_decoded(codec.decode, received)
+            == _decoded(lambda r: reference_decode(codec, r), received))
+
+
 def test_oracle_ignores_indices_below_one_and_checks_parity_range_once():
     codec = ExplicitXorCodec(3, [0b011, 0b110])
     assert codec.unrecovered_sources([0, -5, 1, 4]) == frozenset({3})
@@ -123,3 +202,13 @@ def test_oracle_ignores_indices_below_one_and_checks_parity_range_once():
         assert "parity index 3 out of range" in str(exc)
     else:
         raise AssertionError("expected ValueError for parity index 3 of 2")
+    mds = build_mds(8, 4)
+    assert mds.unrecovered_sources([0, -1, -2, 5]) == frozenset({1, 2, 3, 4})
+    assert mds.unrecovered_sources([0, 2, 6, 7, 8]) == frozenset()
+    assert mds.unrecovered_sources([1, 2, 3, 4, 99]) == frozenset()
+    try:
+        mds.unrecovered_sources([1, 2, 3, 99])
+    except ValueError as exc:
+        assert "parity index 95 out of range" in str(exc)
+    else:
+        raise AssertionError("expected ValueError for index 99 of an 8-packet block")

@@ -91,11 +91,11 @@ def test_construction_16_8_golden():
     assert c.block_length == 16
     assert c.info_channels == (16, 15, 14, 12, 8, 13, 11, 10)
     assert c.parity_channels == (1, 2, 3, 5, 9, 4, 6, 7)
-    assert c.reservoir_masks() == [255, 157, 91, 55, 239, 25, 21, 19]
+    assert list(c.reservoir) == [255, 157, 91, 55, 239, 25, 21, 19]
     assert c.raw_degrees() == [16, 8, 8, 8, 8, 4, 4, 4]
     assert c.effective_degrees() == [8, 5, 5, 5, 7, 3, 3, 3]
     # the best frozen channel contributes an all-ones repair column
-    assert c.reservoir_masks()[0] == (1 << c.k) - 1
+    assert list(c.reservoir)[0] == (1 << c.k) - 1
 
 
 def test_construction_16_10_degrees():
