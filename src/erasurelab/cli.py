@@ -17,7 +17,7 @@ from . import analytics, bench, multicast, rng
 from .codec import CodeSpec, build_codec
 from .fountain import FountainCode
 from .gf256 import build_mds
-from .polar import construct_systematic, polar_for_parity
+from .polar import polar_for_parity
 
 SCHEMA_VERSION = 1
 

@@ -7,7 +7,7 @@ so encoding one parity packet is one table gather per source packet.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
