@@ -1,0 +1,44 @@
+"""The systematic codec front that every family shares: malformed input to
+encode and decode raises the same ValueError in each of them."""
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from erasurelab import FountainCode, build_mds, polar_for_parity
+
+# k = 4 source packets and a parity limit of 4 in every family
+CODECS = {
+    "mds": lambda: build_mds(8, 4),
+    "fountain": lambda: FountainCode(4, 7, n=8),
+    "polar": lambda: polar_for_parity(4, 4, 0.05),
+}
+SOURCE = [b"ab", b"cd", b"ef", b"gh"]
+
+MALFORMED = [
+    ("wrong source count", lambda c: c.encode(SOURCE[:3], 1),
+     "expected 4 source packets, got 3"),
+    ("unequal source lengths", lambda c: c.encode(SOURCE[:3] + [b"ghi"], 1),
+     "source packets must have equal length"),
+    ("negative parity count", lambda c: c.encode(SOURCE, -1), "parity count -1 out of range"),
+    ("parity count past the limit", lambda c: c.encode(SOURCE, 5),
+     "parity count 5 out of range"),
+    ("index 0", lambda c: c.decode({0: b"ab"}), "packet index 0 out of range"),
+    ("index past k + limit", lambda c: c.decode({2: b"ab", 9: b"cd"}),
+     "packet index 9 out of range"),
+    ("duplicate index", lambda c: c.decode([(1, b"ab"), (6, b"cd"), (1, b"ab")]),
+     "duplicate packet index 1"),
+    ("unequal received lengths", lambda c: c.decode({1: b"ab", 6: b"cde"}),
+     "received packets must have equal length"),
+]
+
+
+@pytest.mark.parametrize("family", sorted(CODECS))
+@pytest.mark.parametrize("call, message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_raises_the_same_error_in_every_family(family, call, message):
+    codec = CODECS[family]()
+    assert codec.parity_limit == 4
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(codec)
