@@ -1,4 +1,5 @@
-"""Shared codec interface: code descriptors, decode results, xor codecs.
+"""Shared codec front: code descriptors, decode results, the ErasureCodec
+base class of every family, and the xor codecs.
 
 All families present the same systematic wire format. Packet indices are
 1-based: 1..k are the source packets sent verbatim, k+j is parity packet j.
@@ -6,7 +7,7 @@ All families present the same systematic wire format. Packet indices are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Sequence
 
 from . import gf2
 
@@ -38,20 +39,6 @@ class DecodeResult:
     unrecoverable: frozenset[int]
 
 
-@runtime_checkable
-class ErasureCodec(Protocol):
-    k: int
-
-    @property
-    def parity_limit(self) -> int | None: ...
-
-    def encode(self, source: Sequence[bytes], p: int) -> list[bytes]: ...
-
-    def decode(self, received) -> DecodeResult: ...
-
-    def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]: ...
-
-
 def normalize_received(received, limit: int | None) -> dict[int, bytes]:
     """Validate (index, packet) input and return it as a dict."""
     if isinstance(received, Mapping):
@@ -73,9 +60,10 @@ def normalize_received(received, limit: int | None) -> dict[int, bytes]:
     return out
 
 
-class SystematicXorCodec:
-    """Systematic binary codec; parity j xors the source packets selected by
-    a k-bit column mask (bit t-1 stands for source packet t)."""
+class ErasureCodec:
+    """Systematic codec over the shared wire format. Families supply only
+    `_parity`, which computes parity packets, `_solve`, which recovers lost
+    sources from received parity, and `unrecovered_sources`."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -86,15 +74,13 @@ class SystematicXorCodec:
     def parity_limit(self) -> int | None:
         return None
 
-    def parity_mask(self, j: int) -> int:
-        raise NotImplementedError
-
     def _check_parity_index(self, j: int) -> None:
         limit = self.parity_limit
         if j < 1 or (limit is not None and j > limit):
             raise ValueError(f"parity index {j} out of range")
 
     def encode(self, source: Sequence[bytes], p: int) -> list[bytes]:
+        """Parity packets 1..p for k equal-length source packets."""
         if len(source) != self.k:
             raise ValueError(f"expected {self.k} source packets, got {len(source)}")
         limit = self.parity_limit
@@ -103,37 +89,74 @@ class SystematicXorCodec:
         size = len(source[0])
         if any(len(s) != size for s in source):
             raise ValueError("source packets must have equal length")
-        ints = [int.from_bytes(s, "little") for s in source]
-        return [gf2.xor_rows(col, ints).to_bytes(size, "little")
-                for col in self._parity_columns(list(range(1, p + 1)))]
+        return self._parity(source, p, size)
 
     def decode(self, received) -> DecodeResult:
-        """Gaussian elimination over the parity equations restricted to the
-        missing source packets, in the codec's own bit positions as in
-        unrecovered_sources; payloads ride along as xor right-hand sides."""
+        """Recover source packets from (index, packet) pairs, a mapping or an
+        iterable. Received sources pass through; the family's solve recovers
+        what it can of the rest from the received parity."""
         k = self.k
         limit = self.parity_limit
         packets = normalize_received(received, None if limit is None else k + limit)
         recovered = {i: pkt for i, pkt in sorted(packets.items()) if i <= k}
-        ints = [0] * k  # each received source converted once
         have = 0
-        for i, pkt in recovered.items():
-            ints[i - 1] = int.from_bytes(pkt, "little")
+        for i in recovered:
             have |= 1 << (i - 1)
         missing = ~have & ((1 << k) - 1)
         if not missing:
             return DecodeResult(recovered=recovered, unrecoverable=frozenset())
-        size = len(next(iter(packets.values()))) if packets else 0
-        js = [i - k for i in sorted(packets) if i > k]
+        parity = {i - k: packets[i] for i in sorted(packets) if i > k}
+        missing = self._solve(recovered, missing, parity)
+        return DecodeResult(recovered=dict(sorted(recovered.items())),
+                            unrecoverable=frozenset(gf2.ones(missing)))
+
+    def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
+        """Parity packets 1..p of checked source packets of `size` bytes."""
+        raise NotImplementedError
+
+    def _solve(self, recovered: dict[int, bytes], missing: int,
+               parity: dict[int, bytes]) -> int:
+        """Add the sources it recovers to `recovered` and return the mask of
+        those still missing. `missing` has bit t-1 set for each lost source t;
+        `parity` maps parity index j to its packet, in index order."""
+        raise NotImplementedError
+
+    def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
+        """Like decode, on indices alone: which source packets stay missing."""
+        raise NotImplementedError
+
+
+class SystematicXorCodec(ErasureCodec):
+    """Systematic binary codec; parity j xors the source packets selected by
+    a k-bit column mask (bit t-1 stands for source packet t)."""
+
+    def parity_mask(self, j: int) -> int:
+        raise NotImplementedError
+
+    def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
+        ints = [int.from_bytes(s, "little") for s in source]
+        return [gf2.xor_rows(col, ints).to_bytes(size, "little")
+                for col in self._parity_columns(list(range(1, p + 1)))]
+
+    def _solve(self, recovered: dict[int, bytes], missing: int,
+               parity: dict[int, bytes]) -> int:
+        """Gaussian elimination over the parity equations restricted to the
+        missing source packets, in the codec's own bit positions as in
+        unrecovered_sources; payloads ride along as xor right-hand sides."""
+        ints = [0] * self.k  # each received source converted once
+        for i, pkt in recovered.items():
+            ints[i - 1] = int.from_bytes(pkt, "little")
+        have = ~missing & ((1 << self.k) - 1)
+        size = len(next(iter(parity.values()))) if parity else 0
+        js = list(parity)
         rows = [(col & missing,
-                 int.from_bytes(packets[k + j], "little") ^ gf2.xor_rows(col & have, ints))
+                 int.from_bytes(parity[j], "little") ^ gf2.xor_rows(col & have, ints))
                 for j, col in zip(js, self._parity_columns(js))]
         for coeffs, rhs in gf2.reduce_augmented(rows):
             if coeffs.bit_count() == 1:
                 recovered[coeffs.bit_length()] = rhs.to_bytes(size, "little")
                 missing ^= coeffs
-        return DecodeResult(recovered=dict(sorted(recovered.items())),
-                            unrecoverable=frozenset(gf2.ones(missing)))
+        return missing
 
     def _parity_columns(self, js: list[int]) -> list[int]:
         """Column masks of parity packets js, each at least 1."""

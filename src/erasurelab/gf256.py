@@ -11,7 +11,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codec import CodeSpec, DecodeResult, normalize_received
+from . import gf2
+from .codec import CodeSpec, ErasureCodec
 
 PRIMITIVE_POLY = 0x11D
 FIELD_SIZE = 256
@@ -57,6 +58,15 @@ def gf_pow(a: int, e: int) -> int:
     return GF_EXP[(GF_LOG[a] * e) % 255]
 
 
+def combine(coeffs, rows, acc: np.ndarray) -> np.ndarray:
+    """Xor c * rows[t] into the uint8 array acc for each nonzero coefficient
+    c = coeffs[t], and return acc."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc ^= MUL_TABLE[c][row]
+    return acc
+
+
 class Gf256Matrix:
     """Matrix over GF(2^8) backed by a numpy uint8 array."""
 
@@ -78,27 +88,14 @@ class Gf256Matrix:
         data = [[gf_pow(x, i) for x in points] for i in range(rows)]
         return cls(data)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
     def matmul(self, other: "Gf256Matrix") -> "Gf256Matrix":
         a, b = self.data, other.data
         if a.shape[1] != b.shape[0]:
             raise ValueError("dimension mismatch")
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
         for i in range(a.shape[0]):
-            # product row = xor of scaled rows of b
-            acc = np.zeros(b.shape[1], dtype=np.uint8)
-            for t in range(a.shape[1]):
-                c = a[i, t]
-                if c:
-                    acc ^= MUL_TABLE[c][b[t]]
-            out[i] = acc
+            combine(a[i], b, out[i])  # product row = xor of scaled rows of b
         return Gf256Matrix(out)
-
-    def columns(self, idx: Sequence[int]) -> "Gf256Matrix":
-        return Gf256Matrix(self.data[:, list(idx)])
 
     def invert(self) -> "Gf256Matrix | None":
         """Gauss-Jordan inverse, or None when singular."""
@@ -129,16 +126,11 @@ class Gf256Matrix:
                     inv[r] ^= MUL_TABLE[f][inv[col]]
         return Gf256Matrix(inv)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Gf256Matrix):
-            return NotImplemented
-        return self.data.shape == other.data.shape and bool((self.data == other.data).all())
-
     def __repr__(self) -> str:
         return f"Gf256Matrix({self.data.shape[0]}x{self.data.shape[1]})"
 
 
-class MdsCode:
+class MdsCode(ErasureCodec):
     """Systematic maximum-distance-separable block code over GF(2^8).
 
     The generator is [I | P] derived from a Vandermonde matrix on distinct
@@ -147,8 +139,8 @@ class MdsCode:
     """
 
     def __init__(self, n: int, k: int, generator: Gf256Matrix):
+        super().__init__(k)
         self.n = n
-        self.k = k
         self.generator = generator
         self._sources = frozenset(range(1, k + 1))
         self._block = frozenset(range(1, n + 1))
@@ -161,75 +153,33 @@ class MdsCode:
     def parity_limit(self) -> int:
         return self.n - self.k
 
-    def parity_coefficients(self, j: int) -> np.ndarray:
-        """Column of P for parity packet j (1-based)."""
-        if not 1 <= j <= self.n - self.k:
-            raise ValueError(f"parity index {j} out of range")
-        return self.generator.data[:, self.k + j - 1]
-
-    def encode(self, source: Sequence[bytes], p: int) -> list[bytes]:
-        """Parity packets 1..p for k equal-length source packets."""
-        if len(source) != self.k:
-            raise ValueError(f"expected {self.k} source packets, got {len(source)}")
-        if not 0 <= p <= self.n - self.k:
-            raise ValueError(f"parity count {p} out of range")
-        size = len(source[0])
-        if any(len(s) != size for s in source):
-            raise ValueError("source packets must have equal length")
+    def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
         src = [np.frombuffer(s, dtype=np.uint8) for s in source]
-        out = []
-        for j in range(p):
-            coeffs = self.generator.data[:, self.k + j]
-            acc = np.zeros(size, dtype=np.uint8)
-            for i in range(self.k):
-                c = coeffs[i]
-                if c:
-                    acc ^= MUL_TABLE[c][src[i]]
-            out.append(acc.tobytes())
-        return out
+        columns = self.generator.data[:, self.k:self.k + p].T
+        return [combine(col, src, np.zeros(size, dtype=np.uint8)).tobytes() for col in columns]
 
-    def decode(self, received) -> DecodeResult:
-        """Recover source packets from any subset of (index, packet) pairs.
-
-        With at least k packets the whole block is recovered by solving only
-        for the missing systematic packets against that many parity packets.
-        With fewer, the received systematic packets are returned as-is.
-        """
-        packets = normalize_received(received, self.n)
-        known = {i: pkt for i, pkt in packets.items() if i <= self.k}
-        missing = [i for i in range(1, self.k + 1) if i not in known]
-        if not missing or len(packets) < self.k:
-            return DecodeResult(recovered=dict(sorted(known.items())),
-                                unrecoverable=frozenset(missing))
-        parity_in = sorted(i for i in packets if i > self.k)
-        e = len(missing)
-        use = parity_in[:e]
-        # b_r = parity_r minus the known systematic contributions
-        size = len(next(iter(packets.values())))
-        b = []
-        for idx in use:
-            coeffs = self.generator.data[:, idx - 1]
-            acc = np.frombuffer(packets[idx], dtype=np.uint8).copy()
-            for i, pkt in known.items():
-                c = coeffs[i - 1]
-                if c:
-                    acc ^= MUL_TABLE[c][np.frombuffer(pkt, dtype=np.uint8)]
-            b.append(acc)
-        a = Gf256Matrix([[int(self.generator.data[m - 1, idx - 1]) for m in missing]
-                         for idx in use])
-        a_inv = a.invert()
+    def _solve(self, recovered: dict[int, bytes], missing: int,
+               parity: dict[int, bytes]) -> int:
+        """With e sources lost and at least e parity packets, solve for the
+        lost sources against the lowest-numbered e parity packets; with
+        fewer, recover nothing."""
+        lost = gf2.ones(missing)
+        js = list(parity)[:len(lost)]
+        if len(js) < len(lost):
+            return missing
+        g = self.generator.data
+        cols = [self.k + j - 1 for j in js]
+        known = [i - 1 for i in recovered]
+        src = [np.frombuffer(pkt, dtype=np.uint8) for pkt in recovered.values()]
+        # b_j = parity j minus the known systematic contributions
+        b = [combine(g[known, col], src, np.frombuffer(parity[j], dtype=np.uint8).copy())
+             for j, col in zip(js, cols)]
+        a_inv = Gf256Matrix(g[np.ix_([m - 1 for m in lost], cols)].T).invert()
         if a_inv is None:
             raise AssertionError("MDS submatrix unexpectedly singular")
-        recovered = dict(known)
-        for c, m in enumerate(missing):
-            acc = np.zeros(size, dtype=np.uint8)
-            for r in range(e):
-                f = a_inv.data[c, r]
-                if f:
-                    acc ^= MUL_TABLE[f][b[r]]
-            recovered[m] = acc.tobytes()
-        return DecodeResult(recovered=dict(sorted(recovered.items())),
-                            unrecoverable=frozenset())
+        for m, row in zip(lost, a_inv.data):
+            recovered[m] = combine(row, b, np.zeros_like(b[0])).tobytes()
+        return 0
 
     def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
         """Systematic packets left missing after decoding that subset.
@@ -261,8 +211,7 @@ def build_mds(n: int, k: int) -> MdsCode:
         raise ValueError(f"n={n} exceeds the field size {FIELD_SIZE}")
     points = [0] + [gf_pow(2, j) for j in range(n - 1)]
     v = Gf256Matrix.vandermonde(k, points)
-    left = v.columns(range(k))
-    left_inv = left.invert()
+    left_inv = Gf256Matrix(v.data[:, :k]).invert()
     if left_inv is None:
         raise AssertionError("Vandermonde block on distinct points cannot be singular")
     g = left_inv.matmul(v)

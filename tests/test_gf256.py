@@ -69,8 +69,7 @@ def test_generator_is_systematic():
 
 def test_parity_coefficients_all_nonzero_small():
     code = build_mds(3, 2)
-    for j in range(1, 2):
-        assert all(c != 0 for c in code.parity_coefficients(j))
+    assert (code.generator.data[:, code.k:] != 0).all()
 
 
 def test_every_k_subset_invertible():
