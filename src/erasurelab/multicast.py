@@ -97,6 +97,8 @@ def simulate_incremental(codec, pattern_set: PatternSet, rounds: int | None = No
         rounds = codec.parity_limit
         if rounds is None:
             raise ValueError("codec has no parity limit; pass rounds explicitly")
+    if rounds < 0:
+        raise ValueError(f"rounds must be at least 0, got {rounds}")
     limit = codec.parity_limit
     if limit is not None and rounds > limit:
         raise ValueError(f"rounds {rounds} exceed the parity limit {limit}")
@@ -130,6 +132,9 @@ def weighted_cdf(table: RecoveryTable, pattern_set: PatternSet,
     if len(pattern_set.patterns) != len(table.lost_sizes):
         raise ValueError("pattern set does not match the recovery table")
     denom = math.fsum(p.probability for p in pattern_set.patterns)
+    if denom == 0:
+        raise ValueError(f"the patterns have zero total weight at p_e={pattern_set.p_e}: "
+                         f"no pattern of 1..{pattern_set.e_max} losses can occur")
     points = []
     for t in range(table.rounds + 1):
         if partial:

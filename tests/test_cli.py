@@ -209,6 +209,21 @@ def test_multicast_rejects_unknown_family():
     assert result.exit_code == 2
 
 
+def test_multicast_negative_rounds_exits_2():
+    result = run("multicast", "--k", 6, "--pe", 0.1, "--emax", 2, "--families", "mds",
+                 "--rounds", -1)
+    assert result.exit_code == 2
+    assert "rounds must be at least 0, got -1" in result.output
+    assert "family,parity_sent" not in result.output
+
+
+@pytest.mark.parametrize("pe", [0, 1])
+def test_multicast_zero_total_weight_exits_2(pe):
+    result = run("multicast", "--k", 4, "--pe", pe, "--emax", 2, "--families", "mds")
+    assert result.exit_code == 2
+    assert "zero total weight" in result.output
+
+
 def test_bench_csv_schema(tmp_path):
     out = tmp_path / "bench.csv"
     result = run("bench", "--family", "fountain", "--k", 8, "--parity", 4,

@@ -43,6 +43,21 @@ def test_pattern_validation():
         enumerate_patterns(4, 0, 0.1)
 
 
+def test_negative_rounds_rejected():
+    patterns = enumerate_patterns(6, 2, 0.1)
+    with pytest.raises(ValueError, match="rounds must be at least 0, got -3"):
+        simulate_incremental(build_mds(8, 6), patterns, rounds=-3)
+
+
+@pytest.mark.parametrize("pe", [0.0, 1.0])
+def test_cdf_of_patterns_with_zero_total_weight_rejected(pe):
+    # at pe=0 no loss occurs; at pe=1 every packet is lost, past e_max
+    patterns = enumerate_patterns(4, 2, pe)
+    table = simulate_incremental(build_mds(6, 4), patterns)
+    with pytest.raises(ValueError, match="zero total weight"):
+        weighted_cdf(table, patterns)
+
+
 def test_mds_rounds_follow_singleton_rule():
     # an MDS code repairs a pattern at round t exactly when it lost <= t packets
     patterns = enumerate_patterns(8, 4, 0.05)
