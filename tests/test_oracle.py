@@ -7,10 +7,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
 from erasurelab import build_mds, gf2
 from erasurelab.codec import DecodeResult, ExplicitXorCodec, normalize_received
 from erasurelab.fountain import FountainCode
