@@ -8,14 +8,13 @@ The Monte-Carlo path simulates independent receivers against a real codec.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import gf2, rng
+from . import rng
 from .codec import FAMILIES
 
 DEFAULT_RECEIVERS = 50_000
@@ -148,7 +147,9 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     """Monte-Carlo loss rate over independent simulated receivers.
 
     Receiver r draws its erasures from a stream keyed by (seed, r), so the
-    result is bit-identical for any worker count and any batch split.
+    result is bit-identical for any worker count and any batch split. Each
+    batch of receivers counts the lost sources of its distinct erasure
+    patterns in one call of the codec's unrecovered_counts.
     """
     _validate_block(n, k, p_e)
     if codec.k != k:
@@ -161,26 +162,14 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     if workers < 1:
         raise ValueError("need at least one worker")
 
-    # maps an erasure mask to its lost source count; shared by the worker
-    # ranges of this call, which fill it under the lock so that each
-    # distinct mask reaches the oracle exactly once
-    cache: dict[int, int] = {}
-    lock = threading.Lock()
-    full = (1 << n) - 1
-
     def run_range(first: int, count: int) -> int:
         total = 0
         done = 0
         while done < count:
             step = min(_BATCH, count - done)
             batch = rng.erasure_masks(seed, first + done, step, n, p_e)
-            uniq, cnts = np.unique(batch, return_counts=True)
-            masks = uniq.tolist()
-            with lock:
-                for mask in masks:
-                    if mask not in cache:
-                        cache[mask] = len(codec.unrecovered_sources(gf2.ones(~mask & full)))
-            total += sum(cache[mask] * cnt for mask, cnt in zip(masks, cnts.tolist()))
+            masks, cnts = np.unique(batch, return_counts=True)
+            total += int(np.dot(codec.unrecovered_counts(masks, n), cnts))
             done += step
         return total
 

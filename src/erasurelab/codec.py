@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import gf2
 
 FAMILIES = ("mds", "fountain", "polar")
@@ -63,7 +65,8 @@ def normalize_received(received, limit: int | None) -> dict[int, bytes]:
 class ErasureCodec:
     """Systematic codec over the shared wire format. Families supply only
     `_parity`, which computes parity packets, `_solve`, which recovers lost
-    sources from received parity, and `unrecovered_sources`."""
+    sources from received parity, `unrecovered_sources` and its batch count
+    `unrecovered_counts`."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -125,6 +128,12 @@ class ErasureCodec:
         """Like decode, on indices alone: which source packets stay missing."""
         raise NotImplementedError
 
+    def unrecovered_counts(self, erased: np.ndarray, n: int) -> np.ndarray:
+        """How many source packets stay missing, per uint64 erasure mask of a
+        block of n packets (bit t set: packet t+1 lost); the count of
+        unrecovered_sources over the packets each mask leaves received."""
+        raise NotImplementedError
+
 
 class SystematicXorCodec(ErasureCodec):
     """Systematic binary codec; parity j xors the source packets selected by
@@ -181,6 +190,13 @@ class SystematicXorCodec(ErasureCodec):
             if row.bit_count() == 1:
                 missing ^= row
         return frozenset(gf2.ones(missing))
+
+    def unrecovered_counts(self, erased: np.ndarray, n: int) -> np.ndarray:
+        k = self.k
+        columns = self._parity_columns(list(range(1, n - k + 1)))
+        # a lost parity packet drops its equation: bit j-1 of erased >> k
+        return gf2.unsolved_counts(columns, erased & np.uint64((1 << k) - 1),
+                                   erased >> np.uint64(k))
 
 
 class ExplicitXorCodec(SystematicXorCodec):

@@ -2,13 +2,17 @@
 
 Rows are stored as Python ints, bit j of a row is column j. Addition is xor,
 so row operations cost one machine word operation per word of packed bits.
-All operations are pure functions on immutable matrices.
+All operations are pure functions on immutable matrices. `unsolved_counts`
+runs the same elimination on many systems at once, one uint64 row per system.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 KERNEL_POWER_CAP = 16
+_CHUNK = 1 << 12  # systems per elimination pass: a 2 MiB basis at 64 unknowns
 
 
 class BitMatrix:
@@ -146,3 +150,48 @@ def reduce_augmented(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
                 basis[pk] = (qk ^ r, qkrhs ^ rhs)
         basis[p] = (r, rhs)
     return [basis[p] for p in sorted(basis)]
+
+
+def unsolved_counts(columns: Sequence[int], unknowns: np.ndarray,
+                    dropped: np.ndarray) -> np.ndarray:
+    """Per system i, how many of the unknowns set in unknowns[i] stay unsolved
+    by the equations columns[j] & unknowns[i] over each j whose bit is clear
+    in dropped[i]; both arrays are uint64.
+
+    This is the weight-1 row count of reduce_echelon, run on a batch. Equations
+    go in one at a time, as in on-the-fly Gaussian elimination (Bioglio,
+    Grangetto and Gaeta, IEEE Comm. Letters 2009), and each system keeps its
+    reduced basis in row b of a (width, chunk) array, b being the pivot bit.
+    """
+    out = np.empty(len(unknowns), dtype=np.int64)
+    for start in range(0, len(unknowns), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        out[part] = _unsolved_chunk(columns, unknowns[part], dropped[part])
+    return out
+
+
+def _unsolved_chunk(columns: Sequence[int], unknowns: np.ndarray,
+                    dropped: np.ndarray) -> np.ndarray:
+    one = np.uint64(1)
+    width = int(np.bitwise_or.reduce(unknowns, initial=0)).bit_length()
+    basis = np.zeros((width, len(unknowns)), dtype=np.uint64)
+    pivots = 0  # pivot bits held by at least one system
+    for j, col in enumerate(columns):
+        r = unknowns & np.uint64(col)
+        r *= ~(dropped >> np.uint64(j)) & one
+        held = [(basis[b - 1], np.uint64(b - 1)) for b in ones(pivots)]
+        for row, shift in held:
+            r ^= row * ((r >> shift) & one)
+        low = r & -r
+        if not low.any():
+            continue
+        for row, _ in held:
+            row ^= r * ((row & low) != 0)
+        new = low.nonzero()[0]
+        basis[np.bitwise_count(low[new] - one), new] = r[new]
+        pivots |= int(np.bitwise_or.reduce(low))
+    solved = np.zeros_like(unknowns)
+    for b in ones(pivots):
+        row = basis[b - 1]
+        solved |= row * (row == np.uint64(1 << (b - 1)))
+    return np.bitwise_count(unknowns & ~solved)

@@ -195,6 +195,14 @@ class MdsCode(ErasureCodec):
             idx &= self._block
         return frozenset() if len(idx) >= self.k else missing
 
+    def unrecovered_counts(self, erased: np.ndarray, n: int) -> np.ndarray:
+        """Every lost source stays lost when fewer than k of the n packets
+        arrived, and none otherwise."""
+        if n > self.k:
+            self._check_parity_index(n - self.k)
+        lost = np.bitwise_count(erased & np.uint64((1 << self.k) - 1))
+        return np.where(np.bitwise_count(erased) > n - self.k, lost, 0)
+
     def __repr__(self) -> str:
         return f"MdsCode(n={self.n}, k={self.k})"
 

@@ -5,9 +5,10 @@ import math
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from erasurelab import analytics, build_mds
+from erasurelab import build_mds, gf2, rng
 from erasurelab.analytics import (
     collectable_packets,
     delay_budget,
@@ -166,13 +167,12 @@ def test_min_parity_polar_stops_at_the_simulated_block_cap():
     assert min_parity("polar", 60, 0.3, 1e-7, receivers=500, seed=1) is None
 
 
-def test_empirical_loss_cache_belongs_to_the_call():
+def test_empirical_leaves_no_state_on_the_codec():
     codec = polar_for_parity(8, 4, 0.05)
     before = dict(vars(codec))
     first = plr_empirical(codec, 12, 8, 0.05, receivers=5000, seed=2)
     assert vars(codec) == before
-    # the call's cache is shared by its worker threads: more workers than
-    # cores and frequent thread switches must not change the count
+    # more workers than cores and frequent thread switches must not change the count
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -183,29 +183,37 @@ def test_empirical_loss_cache_belongs_to_the_call():
     assert vars(codec) == before
 
 
-def test_empirical_sends_each_distinct_pattern_to_the_oracle_once():
-    def oracle_calls(seed: int, workers: int) -> int:
-        codec = polar_for_parity(12, 4, 0.05)
-        calls = []
-        oracle = codec.unrecovered_sources
+def test_empirical_loss_total_equals_the_oracle_total():
+    n, k, p_e, receivers = 16, 12, 0.05, 300_000
+    codec = polar_for_parity(k, n - k, p_e)
+    full = (1 << n) - 1
 
-        def counting(indices):
-            calls.append(None)  # list.append is atomic across threads
-            return oracle(indices)
+    def oracle_total(seed: int) -> int:
+        masks, cnts = np.unique(rng.erasure_masks(seed, 0, receivers, n, p_e),
+                                return_counts=True)
+        return sum(len(codec.unrecovered_sources(gf2.ones(~m & full))) * c
+                   for m, c in zip(masks.tolist(), cnts.tolist()))
 
-        codec.unrecovered_sources = counting
-        plr_empirical(codec, 16, 12, 0.05, receivers=300_000, seed=seed, workers=workers)
-        return len(calls)
-
-    # worker threads that miss the shared cache on the same pattern at once
-    # must not both evaluate it
+    # 300,000 receivers span two batches at one worker; eight worker threads
+    # switching often each count their own range
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        counts = [(oracle_calls(seed, 8), oracle_calls(seed, 1)) for seed in range(5)]
+        for seed in range(3):
+            want = oracle_total(seed) / (receivers * k)
+            for workers in (1, 8):
+                got = plr_empirical(codec, n, k, p_e, receivers=receivers, seed=seed,
+                                    workers=workers)
+                assert got.plr == want, (seed, workers)
     finally:
         sys.setswitchinterval(interval)
-    assert all(threaded == single for threaded, single in counts), counts
+
+
+def test_empirical_at_channel_extremes():
+    # no erasure loses nothing; erasing every packet loses every source
+    for codec in (build_mds(16, 12), FountainCode(12, 4, n=16), polar_for_parity(12, 4, 0.05)):
+        assert plr_empirical(codec, 16, 12, 0.0, receivers=1000, seed=1).plr == 0.0
+        assert plr_empirical(codec, 16, 12, 1.0, receivers=1000, seed=1).plr == 1.0
 
 
 def test_min_parity_validation():

@@ -6,8 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from erasurelab import gf256
-from erasurelab.gf256 import Gf256Matrix, MdsCode, build_mds, gf_inv, gf_mul
+from erasurelab.gf256 import Gf256Matrix, build_mds, gf_inv, gf_mul
 
 
 def slow_mul(a: int, b: int) -> int:

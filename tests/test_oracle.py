@@ -1,7 +1,7 @@
 """Decodability oracle and decode: the mask-native elimination of the xor
 codecs against the simple remap paths, the MDS oracle against counting, MDS
-decode against the scaled-packet loops, and decode against the oracle for
-every family."""
+decode against the scaled-packet loops, decode against the oracle for every
+family, and the batched loss counts against the oracle."""
 from __future__ import annotations
 
 import random
@@ -251,3 +251,78 @@ def test_oracle_ignores_indices_below_one_and_checks_parity_range_once():
         assert "parity index 95 out of range" in str(exc)
     else:
         raise AssertionError("expected ValueError for index 99 of an 8-packet block")
+
+
+def oracle_counts(codec, erased, n: int) -> list[int]:
+    """Reference for unrecovered_counts: the oracle on each mask in turn."""
+    full = (1 << n) - 1
+    return [len(codec.unrecovered_sources(gf2.ones(~int(m) & full))) for m in erased]
+
+
+def _batch_counts(codec, erased, n: int) -> list[int]:
+    return codec.unrecovered_counts(np.array(erased, dtype=np.uint64), n).tolist()
+
+
+@st.composite
+def block_masks(draw, n: int):
+    """Masks of an n-packet block: uniform, sparse (few losses) or dense."""
+    word = st.integers(0, (1 << n) - 1)
+    sparse = st.tuples(word, word, word).map(lambda t: t[0] & t[1] & t[2])
+    dense = st.tuples(word, word).map(lambda t: t[0] | t[1])
+    return draw(st.lists(st.one_of(word, sparse, dense, st.sampled_from([0, (1 << n) - 1])),
+                         max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batch_counts_match_the_oracle(data):
+    family = data.draw(st.sampled_from(("mds", "fountain", "polar", "explicit", "repeats")))
+    if family == "repeats":
+        # zero and repeated columns leave equations that add nothing
+        k = data.draw(st.integers(1, 40))
+        pool = [0] + data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=3))
+        codec = ExplicitXorCodec(k, data.draw(st.lists(st.sampled_from(pool), max_size=12)))
+    else:
+        codec = data.draw(codecs(max_k=60, families=(family,)))
+    k = codec.k
+    limit = codec.parity_limit if codec.parity_limit is not None else 64 - k
+    n = k + data.draw(st.integers(0, min(limit, 64 - k)))
+    erased = data.draw(block_masks(n))
+    assert _batch_counts(codec, erased, n) == oracle_counts(codec, erased, n)
+
+
+def test_batch_counts_match_the_oracle_on_every_pattern_of_polar_16_12():
+    codec = polar_for_parity(12, 4, 0.05)
+    erased = np.arange(1 << 16, dtype=np.uint64)
+    assert codec.unrecovered_counts(erased, 16).tolist() == oracle_counts(codec, erased, 16)
+
+
+def test_batch_counts_across_chunk_boundaries():
+    codec = polar_for_parity(12, 4, 0.05)
+    gen = random.Random(3)
+    for size in (0, 1, gf2._CHUNK, gf2._CHUNK + 1):
+        erased = [gen.getrandbits(16) & gen.getrandbits(16) for _ in range(size)]
+        counts = codec.unrecovered_counts(np.array(erased, dtype=np.uint64), 16)
+        assert counts.shape == (size,)
+        assert counts.tolist() == oracle_counts(codec, erased, 16)
+
+
+def test_batch_counts_at_the_edges_of_the_mask_word():
+    gen = random.Random(5)
+    # n = 64 fills the word; k = n leaves no parity, up to k = 64
+    for codec, n in ((polar_for_parity(60, 4, 0.05), 64), (_mds(64, 60), 64),
+                     (FountainCode(60, 9, n=64), 64), (polar_for_parity(64, 0, 0.05), 64),
+                     (FountainCode(64, 9), 64), (_polar(12, 4), 12), (_mds(16, 12), 12)):
+        erased = [0, (1 << n) - 1] + [gen.getrandbits(n) & gen.getrandbits(n)
+                                     for _ in range(300)]
+        assert _batch_counts(codec, erased, n) == oracle_counts(codec, erased, n)
+
+
+def test_batch_counts_check_the_parity_range():
+    for codec in (ExplicitXorCodec(3, [0b011, 0b110]), _mds(5, 3)):
+        try:
+            codec.unrecovered_counts(np.zeros(2, dtype=np.uint64), 6)
+        except ValueError as exc:
+            assert "parity index 3 out of range" in str(exc)
+        else:
+            raise AssertionError(f"expected ValueError for 3 parity packets of {codec!r}")
