@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .codec import FAMILIES
+from .codec import FAMILIES, CodeSpec, build_codec
 
 DEFAULT_RECEIVERS = 50_000
 PARITY_SCAN_CAP = 128  # min_parity gives up past this many parity packets
@@ -226,9 +226,7 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
         elif n > rng.MAX_PACKETS:
             return None
         else:
-            from .polar import polar_for_parity
-
-            codec = polar_for_parity(k, p, p_e)
+            codec = build_codec(CodeSpec(family="polar", n=n, k=k, epsilon=p_e))
             plr = plr_empirical(codec, n, k, p_e, receivers=receivers, seed=seed,
                                 workers=workers).plr
             method = "mc"

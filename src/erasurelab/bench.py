@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 from . import rng
 from .analytics import OpCount, op_count
-from .codec import FAMILIES
-from .fountain import FountainCode
-from .gf256 import build_mds
-from .polar import polar_for_parity
+from .codec import CodeSpec, build_codec
 
 MIN_ITERATIONS = 100
 DEFAULT_WARMUP = 10
@@ -57,15 +54,14 @@ class BenchReport:
 
 def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
                 erasure_count: int | None = None, iterations: int = MIN_ITERATIONS,
-                warmup: int = DEFAULT_WARMUP, seed: int = 0,
-                epsilon: float = 0.05) -> BenchReport:
+                seed: int = 0) -> BenchReport:
     """Measure one codec configuration.
 
     The decode side is the worst case for a systematic code: erasure_count
     losses (default p), all of them source packets, repaired from parity.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    # a zero-parity run still needs a codec for the passthrough decode
+    spec = CodeSpec(family=family, n=k + max(p, 1), k=k, seed=seed)
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"need at least {MIN_ITERATIONS} iterations")
     if erasure_count is None:
@@ -73,13 +69,7 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
     if not 0 <= erasure_count <= min(p, k):
         raise ValueError(f"erasure count {erasure_count} out of range")
 
-    if family == "mds":
-        # a zero-parity run still needs a codec for the passthrough decode
-        codec = build_mds(k + max(p, 1), k)
-    elif family == "fountain":
-        codec = FountainCode(k, seed, n=k + max(p, 1))
-    else:
-        codec = polar_for_parity(k, max(p, 1), epsilon)
+    codec = build_codec(spec)
 
     gen = random.Random(rng.substream(seed, rng.STREAM_BENCH))
     source = [gen.randbytes(packet_size) for _ in range(k)]
@@ -98,17 +88,17 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
     decode_complete = not reference.unrecoverable
 
     encode_ns: list[int] = []
-    for it in range(warmup + iterations):
+    for it in range(DEFAULT_WARMUP + iterations):
         t0 = time.perf_counter_ns()
         out = codec.encode(source, p)
         t1 = time.perf_counter_ns()
         if out != parity:
             raise AssertionError("encode output changed between iterations")
-        if it >= warmup:
+        if it >= DEFAULT_WARMUP:
             encode_ns.append(t1 - t0)
 
     decode_ns: list[int] = []
-    for it in range(warmup + iterations):
+    for it in range(DEFAULT_WARMUP + iterations):
         t0 = time.perf_counter_ns()
         result = codec.decode(received)
         t1 = time.perf_counter_ns()
@@ -117,7 +107,7 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
         for i in lost:
             if i in result.recovered and result.recovered[i] != source[i - 1]:
                 raise AssertionError(f"decoder returned a wrong packet for index {i}")
-        if it >= warmup:
+        if it >= DEFAULT_WARMUP:
             decode_ns.append(t1 - t0)
 
     return BenchReport(family=family, k=k, p=p, packet_size=packet_size,

@@ -14,9 +14,7 @@ import sys
 import click
 
 from . import analytics, bench, multicast, rng
-from .codec import CodeSpec, build_codec
-from .fountain import FountainCode
-from .gf256 import build_mds
+from .codec import FAMILIES, CodeSpec, build_codec
 from .polar import polar_for_parity
 
 SCHEMA_VERSION = 1
@@ -120,7 +118,7 @@ def construct(family, k, parity, epsilon, as_json):
 
 
 @main.command()
-@click.option("--family", type=click.Choice(["mds", "fountain", "polar"]), required=True)
+@click.option("--family", type=click.Choice(FAMILIES), required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--pe", type=float, required=True, help="Channel erasure probability.")
 @click.option("--plr-target", type=float, required=True, help="Residual loss target.")
@@ -152,7 +150,7 @@ def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
 
 
 @main.command()
-@click.option("--family", type=click.Choice(["mds", "fountain", "polar"]), required=True)
+@click.option("--family", type=click.Choice(FAMILIES), required=True)
 @click.option("--n", type=int, required=True, help="Total packets sent per block.")
 @click.option("--k", type=int, required=True)
 @click.option("--pe", type=float, required=True)
@@ -197,7 +195,7 @@ def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
 @click.option("--pe", type=float, required=True)
 @click.option("--emax", type=int, required=True, help="Largest loss count enumerated.")
 @click.option("--families", default="mds,polar", show_default=True,
-              help="Comma separated subset of mds,fountain,polar.")
+              help=f"Comma separated subset of {','.join(FAMILIES)}.")
 @click.option("--rounds", type=int, default=None,
               help="Repair rounds to simulate (default: each code's parity budget).")
 @click.option("--partial", is_flag=True, help="Credit partial repair instead of all-or-nothing.")
@@ -210,7 +208,7 @@ def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
 def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json, csv_path):
     """Weighted repair CDF per family over incremental parity rounds."""
     fams = [f.strip() for f in families.split(",") if f.strip()]
-    bad = [f for f in fams if f not in ("mds", "fountain", "polar")]
+    bad = [f for f in fams if f not in FAMILIES]
     if bad or not fams:
         raise click.UsageError(f"unknown families: {','.join(bad) or families!r}")
     if "fountain" in fams:
@@ -225,12 +223,15 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
     try:
         for fam in fams:
             if fam == "mds":
-                codec = build_mds(k + emax, k)
+                codec = build_codec(CodeSpec(family="mds", n=k + emax, k=k))
                 fam_rounds = rounds if rounds is not None else emax
             else:
-                polar = polar or polar_for_parity(k, emax, eps)
+                polar = polar or build_codec(CodeSpec(family="polar", n=k + emax, k=k,
+                                                      epsilon=eps))
                 fam_rounds = rounds if rounds is not None else polar.parity_limit
-                codec = polar if fam == "polar" else FountainCode(k, seed, n=k + fam_rounds)
+                # a negative --rounds is left to simulate_incremental to reject
+                codec = polar if fam == "polar" else build_codec(
+                    CodeSpec(family="fountain", n=k + max(fam_rounds, 0), k=k, seed=seed))
             table = multicast.simulate_incremental(codec, patterns, rounds=fam_rounds)
             curve = multicast.weighted_cdf(table, patterns, partial=partial)
             for t, fraction in curve.points:
@@ -244,7 +245,7 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
 
 
 @main.command(name="bench")
-@click.option("--family", type=click.Choice(["mds", "fountain", "polar"]), required=True)
+@click.option("--family", type=click.Choice(FAMILIES), required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--parity", type=int, required=True)
 @click.option("--erasures", type=int, default=None,

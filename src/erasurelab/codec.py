@@ -202,15 +202,12 @@ class SystematicXorCodec(ErasureCodec):
 class ExplicitXorCodec(SystematicXorCodec):
     """Xor codec with a fixed, explicit list of parity column masks."""
 
-    def __init__(self, k: int, masks: Sequence[int], spec: CodeSpec | None = None):
+    def __init__(self, k: int, masks: Sequence[int]):
         super().__init__(k)
         self.masks = tuple(m & ((1 << k) - 1) for m in masks)
-        self._spec = spec
 
     @property
     def spec(self) -> CodeSpec:
-        if self._spec is not None:
-            return self._spec
         return CodeSpec(family="fountain", n=self.k + len(self.masks), k=self.k)
 
     @property
@@ -229,7 +226,8 @@ class ExplicitXorCodec(SystematicXorCodec):
 
 
 def build_codec(spec: CodeSpec):
-    """Construct the codec described by a CodeSpec."""
+    """Construct the codec described by a CodeSpec; the one place that maps
+    a family name to its constructor."""
     if spec.family == "mds":
         from .gf256 import build_mds
 

@@ -38,12 +38,6 @@ MUL_TABLE[1:, 1:] = _exp[(_log[_nz][:, None] + _log[_nz][None, :]) % 255]
 del _x, _i, _exp, _log, _nz
 
 
-def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return GF_EXP[GF_LOG[a] + GF_LOG[b]]
-
-
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("no inverse of 0")
@@ -77,25 +71,6 @@ class Gf256Matrix:
         if arr.ndim != 2:
             raise ValueError("2-D data required")
         self.data = arr
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf256Matrix":
-        return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def vandermonde(cls, rows: int, points: Sequence[int]) -> "Gf256Matrix":
-        """Row i is the points raised to the power i, with 0**0 = 1."""
-        data = [[gf_pow(x, i) for x in points] for i in range(rows)]
-        return cls(data)
-
-    def matmul(self, other: "Gf256Matrix") -> "Gf256Matrix":
-        a, b = self.data, other.data
-        if a.shape[1] != b.shape[0]:
-            raise ValueError("dimension mismatch")
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        for i in range(a.shape[0]):
-            combine(a[i], b, out[i])  # product row = xor of scaled rows of b
-        return Gf256Matrix(out)
 
     def invert(self) -> "Gf256Matrix | None":
         """Gauss-Jordan inverse, or None when singular."""
@@ -218,9 +193,12 @@ def build_mds(n: int, k: int) -> MdsCode:
     if n > FIELD_SIZE:
         raise ValueError(f"n={n} exceeds the field size {FIELD_SIZE}")
     points = [0] + [gf_pow(2, j) for j in range(n - 1)]
-    v = Gf256Matrix.vandermonde(k, points)
-    left_inv = Gf256Matrix(v.data[:, :k]).invert()
+    # row i holds the points raised to the power i, with 0**0 = 1
+    v = np.array([[gf_pow(x, i) for x in points] for i in range(k)], dtype=np.uint8)
+    left_inv = Gf256Matrix(v[:, :k]).invert()
     if left_inv is None:
         raise AssertionError("Vandermonde block on distinct points cannot be singular")
-    g = left_inv.matmul(v)
-    return MdsCode(n, k, g)
+    g = np.zeros_like(v)
+    for coeffs, row in zip(left_inv.data, g):
+        combine(coeffs, v, row)  # product row = xor of scaled rows of v
+    return MdsCode(n, k, Gf256Matrix(g))

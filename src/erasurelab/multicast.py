@@ -58,7 +58,7 @@ class CdfCurve:
     partial: bool = False
 
 
-def enumerate_patterns(k: int, e_max: int, p_e: float, cap: int = PATTERN_CAP) -> PatternSet:
+def enumerate_patterns(k: int, e_max: int, p_e: float) -> PatternSet:
     """All patterns of 1..e_max losses among the k source packets.
 
     Each pattern of i losses occurs with probability p_e^i * (1-p_e)^(k-i);
@@ -72,9 +72,9 @@ def enumerate_patterns(k: int, e_max: int, p_e: float, cap: int = PATTERN_CAP) -
     if not 0.0 <= p_e <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
     total = sum(math.comb(k, i) for i in range(1, e_max + 1))
-    if total > cap:
+    if total > PATTERN_CAP:
         raise ValueError(
-            f"{total} patterns exceed the enumeration cap {cap}; lower e_max "
+            f"{total} patterns exceed the enumeration cap {PATTERN_CAP}; lower e_max "
             f"or sample patterns instead of enumerating them")
     patterns = []
     for i in range(1, e_max + 1):
@@ -108,9 +108,9 @@ def simulate_incremental(codec, pattern_set: PatternSet, rounds: int | None = No
     for pattern in pattern_set.patterns:
         lost = pattern.lost
         survivors = [i for i in range(1, k + 1) if i not in lost]
-        row = []
-        for t in range(rounds + 1):
-            if row and row[-1] == len(lost):
+        row = [0]  # round 0 brings no parity, so it repairs nothing
+        for t in range(1, rounds + 1):
+            if row[-1] == len(lost):
                 row.append(len(lost))
                 continue
             received = survivors + [k + j for j in range(1, t + 1)]

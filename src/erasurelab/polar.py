@@ -86,12 +86,10 @@ class PolarConstruction:
     reservoir: tuple[int, ...]
 
     def raw_degrees(self) -> list[int]:
-        """Ones per reservoir column counted over the full kernel power."""
-        out = []
-        for ch in self.parity_channels:
-            col = ch - 1
-            out.append(sum(gf2.kernel_entry(r, col) for r in range(self.block_length)))
-        return out
+        """Ones per reservoir column counted over the full kernel power:
+        column c has a one in each row whose bits contain c's, 2**(levels -
+        popcount c) of them."""
+        return [self.block_length >> (ch - 1).bit_count() for ch in self.parity_channels]
 
     def effective_degrees(self) -> list[int]:
         """Ones per reservoir column after the frozen rows are dropped."""

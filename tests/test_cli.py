@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from erasurelab import cli
+from erasurelab import polar
 from erasurelab.cli import main
+from erasurelab.codec import FAMILIES
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -194,8 +195,8 @@ def test_multicast_fountain_deterministic_with_seed():
 
 def test_multicast_builds_one_polar_codec_for_fountain_and_polar(monkeypatch):
     calls = []
-    real = cli.polar_for_parity
-    monkeypatch.setattr(cli, "polar_for_parity",
+    real = polar.polar_for_parity
+    monkeypatch.setattr(polar, "polar_for_parity",
                         lambda *args: calls.append(args) or real(*args))
     result = run("multicast", "--k", 6, "--pe", 0.1, "--emax", 2,
                  "--families", "fountain,polar", "--seed", 21)
@@ -234,6 +235,13 @@ def test_bench_csv_schema(tmp_path):
                       "encode_ns_med", "decode_ns_med"]
     assert rows[1][:5] == ["fountain", "8", "4", "4", "256"]
     assert float(rows[1][5]) > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bench_zero_k_gives_the_block_message(family):
+    result = run("bench", "--family", family, "--k", 0, "--parity", 2, "--seed", 1)
+    assert result.exit_code == 2
+    assert "need 1 <= k <= n, got k=0, n=2" in result.output
 
 
 def test_bench_json_mirror():
