@@ -142,48 +142,71 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
     return PlrReport(family="fountain", n=n, k=k, p_e=p_e, plr=plr, method="analytic")
 
 
+def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
+                 workers: int) -> list[int]:
+    """Entry j, for j = 0..n-k: the lost source packets summed over the
+    receivers when the first k+j packets of each block of n are sent.
+
+    Receiver r draws its erasures from a stream keyed by (seed, r), and a
+    mask of fewer packets is a prefix of a mask of more, so every entry is
+    bit-identical for any worker count and any batch split. Each batch of
+    receivers counts the distinct erasure patterns that lose a source in one
+    call of the codec's unrecovered_totals.
+    """
+    if receivers < 1:
+        raise ValueError("need at least one receiver")
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    sources = np.uint64((1 << codec.k) - 1)
+
+    def run_range(first: int, count: int) -> list[int]:
+        totals = [0] * (n - codec.k + 1)
+        for done in range(0, count, _BATCH):
+            batch = rng.erasure_masks(seed, first + done, min(_BATCH, count - done), n, p_e)
+            masks, cnts = np.unique(batch, return_counts=True)
+            lossy = (masks & sources) != 0  # a mask that loses no source adds nothing
+            totals = [a + b for a, b in zip(
+                totals, codec.unrecovered_totals(masks[lossy], n, cnts[lossy]))]
+        return totals
+
+    bounds = [(receivers * w) // workers for w in range(workers + 1)]
+    ranges = [(bounds[w], bounds[w + 1] - bounds[w]) for w in range(workers)
+              if bounds[w + 1] > bounds[w]]
+    if len(ranges) == 1:
+        return run_range(*ranges[0])
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        return [sum(col) for col in zip(*pool.map(lambda ab: run_range(*ab), ranges))]
+
+
 def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RECEIVERS,
                   seed: int = 0, workers: int = 1) -> PlrReport:
-    """Monte-Carlo loss rate over independent simulated receivers.
-
-    Receiver r draws its erasures from a stream keyed by (seed, r), so the
-    result is bit-identical for any worker count and any batch split. Each
-    batch of receivers counts the lost sources of its distinct erasure
-    patterns in one call of the codec's unrecovered_counts.
-    """
+    """Monte-Carlo loss rate over independent simulated receivers, each
+    drawing its erasures from a stream keyed by (seed, receiver): the result
+    is bit-identical for any worker count."""
     _validate_block(n, k, p_e)
     if codec.k != k:
         raise ValueError(f"codec has k={codec.k}, expected {k}")
     limit = codec.parity_limit
     if limit is not None and n - k > limit:
         raise ValueError(f"codec provides {limit} parity packets, n={n} needs {n - k}")
-    if receivers < 1:
-        raise ValueError("need at least one receiver")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-
-    def run_range(first: int, count: int) -> int:
-        total = 0
-        done = 0
-        while done < count:
-            step = min(_BATCH, count - done)
-            batch = rng.erasure_masks(seed, first + done, step, n, p_e)
-            masks, cnts = np.unique(batch, return_counts=True)
-            total += int(np.dot(codec.unrecovered_counts(masks, n), cnts))
-            done += step
-        return total
-
-    bounds = [(receivers * w) // workers for w in range(workers + 1)]
-    ranges = [(bounds[w], bounds[w + 1] - bounds[w]) for w in range(workers)
-              if bounds[w + 1] > bounds[w]]
-    if len(ranges) == 1:
-        lost = run_range(*ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            lost = sum(pool.map(lambda ab: run_range(*ab), ranges))
-    plr = lost / (receivers * k)
+    lost = _lost_totals(codec, n, p_e, receivers, seed, workers)[-1]
     return PlrReport(family=codec.spec.family, n=n, k=k, p_e=p_e,
-                     plr=plr, method="mc", receivers=receivers, seed=seed)
+                     plr=lost / (receivers * k), method="mc", receivers=receivers, seed=seed)
+
+
+def _polar_plrs(k: int, p_e: float, receivers: int, seed: int, workers: int):
+    """(Monte-Carlo loss rate, block length) of the polar code at parity
+    p = 1, 2, ... while k+p fits rng.MAX_PACKETS, from one codec and one
+    _lost_totals pass per block length."""
+    p = 1
+    while k + p <= rng.MAX_PACKETS:
+        codec = build_codec(CodeSpec(family="polar", n=k + p, k=k, epsilon=p_e))
+        block = codec.construction.block_length
+        n = min(block, rng.MAX_PACKETS)
+        totals = _lost_totals(codec, n, p_e, receivers, seed, workers)
+        for lost in totals[p:]:
+            yield lost / (receivers * k), block
+        p = n - k + 1
 
 
 def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
@@ -194,8 +217,14 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     MDS and fountain use their analytic expressions; polar has no closed form
     and is measured empirically, on at most rng.MAX_PACKETS packets per block.
     Residual loss shrinks as parity grows, so a linear scan from zero finds
-    the minimum. Returns None when the target is unreachable within the
-    family's limits or PARITY_SCAN_CAP parity packets.
+    the minimum. Polar parity columns go out in a fixed order and a
+    receiver's erasure mask of fewer packets is a prefix of its mask of more,
+    so for one block length the code at parity p is a prefix of the code at
+    any larger p: one codec and one Monte-Carlo pass per block length give
+    the loss rate of every p in it, each bit-identical to plr_empirical on
+    that p alone. Returns None when the target is unreachable within the
+    family's limits or PARITY_SCAN_CAP parity packets, and at once when every
+    packet is lost (p_e = 1).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -205,7 +234,10 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
         raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
     if not 0.0 < plr_target < 1.0:
         raise ValueError(f"loss target must be in (0, 1), got {plr_target}")
+    if p_e == 1.0:
+        return None
 
+    polar_plrs = _polar_plrs(k, p_e, receivers, seed, workers)  # runs only when read
     for p in range(PARITY_SCAN_CAP + 1):
         n = k + p
         if family == "mds" and n > 256:
@@ -223,14 +255,12 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
             plr = plr_fountain(n, k, p_e).plr
             method = "analytic"
             block = None
-        elif n > rng.MAX_PACKETS:
-            return None
         else:
-            codec = build_codec(CodeSpec(family="polar", n=n, k=k, epsilon=p_e))
-            plr = plr_empirical(codec, n, k, p_e, receivers=receivers, seed=seed,
-                                workers=workers).plr
+            step = next(polar_plrs, None)
+            if step is None:  # k+p passed rng.MAX_PACKETS
+                return None
+            plr, block = step
             method = "mc"
-            block = codec.construction.block_length
         if plr <= plr_target:
             mc = method == "mc"
             return ParityPlan(family=family, k=k, p=p, n=n, plr=plr, method=method,

@@ -66,7 +66,7 @@ class ErasureCodec:
     """Systematic codec over the shared wire format. Families supply only
     `_parity`, which computes parity packets, `_solve`, which recovers lost
     sources from received parity, `unrecovered_sources` and its batch count
-    `unrecovered_counts`."""
+    `unrecovered_totals`."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -128,10 +128,12 @@ class ErasureCodec:
         """Like decode, on indices alone: which source packets stay missing."""
         raise NotImplementedError
 
-    def unrecovered_counts(self, erased: np.ndarray, n: int) -> np.ndarray:
-        """How many source packets stay missing, per uint64 erasure mask of a
-        block of n packets (bit t set: packet t+1 lost); the count of
-        unrecovered_sources over the packets each mask leaves received."""
+    def unrecovered_totals(self, erased: np.ndarray, n: int, weights: np.ndarray) -> list[int]:
+        """Entry j, for j = 0..n-k: the sum over the uint64 erasure masks of a
+        block of n packets (bit t set: packet t+1 lost) of the mask's weight
+        times how many source packets stay missing when only the first k+j
+        packets were sent; that count is unrecovered_sources over the packets
+        of the first k+j that the mask leaves received."""
         raise NotImplementedError
 
 
@@ -191,12 +193,12 @@ class SystematicXorCodec(ErasureCodec):
                 missing ^= row
         return frozenset(gf2.ones(missing))
 
-    def unrecovered_counts(self, erased: np.ndarray, n: int) -> np.ndarray:
+    def unrecovered_totals(self, erased: np.ndarray, n: int, weights: np.ndarray) -> list[int]:
         k = self.k
         columns = self._parity_columns(list(range(1, n - k + 1)))
         # a lost parity packet drops its equation: bit j-1 of erased >> k
-        return gf2.unsolved_counts(columns, erased & np.uint64((1 << k) - 1),
-                                   erased >> np.uint64(k))
+        return gf2.unsolved_totals(columns, erased & np.uint64((1 << k) - 1),
+                                   erased >> np.uint64(k), weights)
 
 
 class ExplicitXorCodec(SystematicXorCodec):

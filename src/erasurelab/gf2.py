@@ -2,7 +2,7 @@
 
 Rows are stored as Python ints, bit j of a row is column j. Addition is xor,
 so row operations cost one machine word operation per word of packed bits.
-All operations are pure functions on immutable matrices. `unsolved_counts`
+All operations are pure functions on immutable matrices. `unsolved_totals`
 runs the same elimination on many systems at once, one uint64 row per system.
 """
 from __future__ import annotations
@@ -152,46 +152,56 @@ def reduce_augmented(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return [basis[p] for p in sorted(basis)]
 
 
-def unsolved_counts(columns: Sequence[int], unknowns: np.ndarray,
-                    dropped: np.ndarray) -> np.ndarray:
-    """Per system i, how many of the unknowns set in unknowns[i] stay unsolved
-    by the equations columns[j] & unknowns[i] over each j whose bit is clear
-    in dropped[i]; both arrays are uint64.
+def unsolved_totals(columns: Sequence[int], unknowns: np.ndarray, dropped: np.ndarray,
+                    weights: np.ndarray) -> list[int]:
+    """Entry j, for j = 0..len(columns): the sum over systems i of weights[i]
+    times how many of the unknowns set in unknowns[i] stay unsolved by the
+    equations columns[c] & unknowns[i] over each c < j whose bit is clear in
+    dropped[i]. The arrays hold one entry per system, unknowns and dropped as
+    uint64 words, so there are at most 64 unknowns and 64 columns.
 
     This is the weight-1 row count of reduce_echelon, run on a batch. Equations
     go in one at a time, as in on-the-fly Gaussian elimination (Bioglio,
     Grangetto and Gaeta, IEEE Comm. Letters 2009), and each system keeps its
     reduced basis in row b of a (width, chunk) array, b being the pivot bit.
+    A row of weight 1 is never changed again, so each one counts as solved
+    from the column that last changed it on.
     """
-    out = np.empty(len(unknowns), dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.int64)
+    totals = [0] * (len(columns) + 1)
     for start in range(0, len(unknowns), _CHUNK):
         part = slice(start, start + _CHUNK)
-        out[part] = _unsolved_chunk(columns, unknowns[part], dropped[part])
-    return out
+        chunk = _unsolved_chunk(columns, unknowns[part], dropped[part], weights[part])
+        totals = [a + b for a, b in zip(totals, chunk)]
+    return totals
 
 
-def _unsolved_chunk(columns: Sequence[int], unknowns: np.ndarray,
-                    dropped: np.ndarray) -> np.ndarray:
+def _unsolved_chunk(columns: Sequence[int], unknowns: np.ndarray, dropped: np.ndarray,
+                    weights: np.ndarray) -> list[int]:
     one = np.uint64(1)
     width = int(np.bitwise_or.reduce(unknowns, initial=0)).bit_length()
+    shifts = np.arange(width, dtype=np.uint64)[:, None]
     basis = np.zeros((width, len(unknowns)), dtype=np.uint64)
-    pivots = 0  # pivot bits held by at least one system
-    for j, col in enumerate(columns):
+    changed = np.zeros(basis.shape, dtype=np.uint8)  # columns read when a row last changed
+    top = 0  # rows top and above are empty in every system
+    for j, col in enumerate(columns, 1):
         r = unknowns & np.uint64(col)
-        r *= ~(dropped >> np.uint64(j)) & one
-        held = [(basis[b - 1], np.uint64(b - 1)) for b in ones(pivots)]
-        for row, shift in held:
-            r ^= row * ((r >> shift) & one)
+        r *= ~(dropped >> np.uint64(j - 1)) & one
+        held = basis[:top]
+        # a basis row is zero at every other pivot, so the rows reduce r independently
+        r ^= np.bitwise_xor.reduce(held * ((r >> shifts[:top]) & one), axis=0)
         low = r & -r
         if not low.any():
             continue
-        for row, _ in held:
-            row ^= r * ((row & low) != 0)
+        hit = (held & low) != 0
+        held ^= r * hit
+        np.maximum(changed[:top], hit.view(np.uint8) * np.uint8(j), out=changed[:top])
         new = low.nonzero()[0]
-        basis[np.bitwise_count(low[new] - one), new] = r[new]
-        pivots |= int(np.bitwise_or.reduce(low))
-    solved = np.zeros_like(unknowns)
-    for b in ones(pivots):
-        row = basis[b - 1]
-        solved |= row * (row == np.uint64(1 << (b - 1)))
-    return np.bitwise_count(unknowns & ~solved)
+        pivot = np.bitwise_count(low[new] - one)
+        basis[pivot, new] = r[new]
+        changed[pivot, new] = j
+        top = max(top, int(np.bitwise_or.reduce(low)).bit_length())
+    solved = np.zeros(len(columns) + 1, dtype=np.int64)  # weight newly solved per column
+    for b, unit in enumerate(basis == one << shifts):
+        np.add.at(solved, changed[b, unit], weights[unit])
+    return (int(np.dot(np.bitwise_count(unknowns), weights)) - np.cumsum(solved)).tolist()

@@ -170,13 +170,18 @@ class MdsCode(ErasureCodec):
             idx &= self._block
         return frozenset() if len(idx) >= self.k else missing
 
-    def unrecovered_counts(self, erased: np.ndarray, n: int) -> np.ndarray:
-        """Every lost source stays lost when fewer than k of the n packets
-        arrived, and none otherwise."""
-        if n > self.k:
-            self._check_parity_index(n - self.k)
-        lost = np.bitwise_count(erased & np.uint64((1 << self.k) - 1))
-        return np.where(np.bitwise_count(erased) > n - self.k, lost, 0)
+    def unrecovered_totals(self, erased: np.ndarray, n: int, weights: np.ndarray) -> list[int]:
+        """Every lost source stays lost when fewer than k of the first k+j
+        packets arrived, that is when more than j of them were lost, and
+        none otherwise."""
+        k = self.k
+        if n > k:
+            self._check_parity_index(n - k)
+        lost = np.bitwise_count(erased & np.uint64((1 << k) - 1))
+        weighted = lost * np.asarray(weights, dtype=np.int64)
+        parity = erased >> np.uint64(k)
+        return [int(weighted[lost + np.bitwise_count(parity & np.uint64((1 << j) - 1)) > j].sum())
+                for j in range(n - k + 1)]
 
     def __repr__(self) -> str:
         return f"MdsCode(n={self.n}, k={self.k})"

@@ -10,6 +10,8 @@ import pytest
 
 from erasurelab import build_mds, gf2, rng
 from erasurelab.analytics import (
+    PARITY_SCAN_CAP,
+    ParityPlan,
     collectable_packets,
     delay_budget,
     min_parity,
@@ -19,6 +21,7 @@ from erasurelab.analytics import (
     plr_mds,
     systematic_erasures_pmf,
 )
+from erasurelab.codec import CodeSpec, build_codec
 from erasurelab.fountain import FountainCode
 from erasurelab.polar import polar_for_parity
 
@@ -156,6 +159,59 @@ def test_min_parity_polar_monte_carlo():
     codec = polar_for_parity(8, plan.p, 0.05)
     again = plr_empirical(codec, plan.n, 8, 0.05, receivers=20000, seed=3).plr
     assert again <= 0.01
+
+
+def reference_min_parity_polar(k: int, p_e: float, target: float, receivers: int, seed: int,
+                               workers: int) -> ParityPlan | None:
+    """The per-p scan: a new codec and one plr_empirical call for each n."""
+    if p_e <= target:
+        return ParityPlan(family="polar", k=k, p=0, n=k, plr=p_e, method="analytic")
+    for p in range(1, PARITY_SCAN_CAP + 1):
+        n = k + p
+        if n > rng.MAX_PACKETS:
+            return None
+        codec = build_codec(CodeSpec(family="polar", n=n, k=k, epsilon=p_e))
+        plr = plr_empirical(codec, n, k, p_e, receivers=receivers, seed=seed,
+                            workers=workers).plr
+        if plr <= target:
+            return ParityPlan(family="polar", k=k, p=p, n=n, plr=plr, method="mc",
+                              receivers=receivers, seed=seed,
+                              block_length=codec.construction.block_length)
+    return None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k, p_e, target, receivers, seed", [
+    (8, 0.05, 1e-3, 5_000, 0),
+    (8, 0.05, 1e-3, 5_000, 3),
+    (16, 0.05, 1e-3, 5_000, 0),
+    (20, 0.1, 1e-3, 5_000, 0),  # p=12 fills the 32-packet block
+    (20, 0.1, 1e-4, 5_000, 0),  # the scan crosses into the 64-packet block
+    (12, 0.3, 1e-2, 3_000, 4),
+    (60, 0.3, 1e-7, 500, 1),  # None at the 64-packet cap
+    (8, 0.01, 0.05, 5_000, 0),  # p=0 meets the target
+])
+def test_min_parity_polar_equals_the_per_parity_scan(k, p_e, target, receivers, seed, workers):
+    want = reference_min_parity_polar(k, p_e, target, receivers, seed, workers)
+    got = min_parity("polar", k, p_e, target, receivers=receivers, seed=seed, workers=workers)
+    assert got == want
+
+
+def test_min_parity_checks_receivers_and_workers_only_once_monte_carlo_is_reached():
+    plan = min_parity("polar", 8, 0.01, 0.05, receivers=0, workers=0)
+    assert plan == ParityPlan(family="polar", k=8, p=0, n=8, plr=0.01, method="analytic")
+    with pytest.raises(ValueError, match="need at least one receiver"):
+        min_parity("polar", 8, 0.05, 1e-3, receivers=0)
+    with pytest.raises(ValueError, match="need at least one worker"):
+        min_parity("polar", 8, 0.05, 1e-3, workers=0)
+    # past the 64-packet cap the scan stops before any Monte-Carlo run
+    assert min_parity("polar", 64, 0.05, 1e-3, receivers=0, workers=0) is None
+
+
+@pytest.mark.parametrize("family", ["mds", "fountain", "polar"])
+def test_min_parity_returns_none_when_every_packet_is_lost(family):
+    assert min_parity(family, 8, 1.0, 0.5) is None
+    assert min_parity(family, 8, 1.0, 1e-6, receivers=0) is None
 
 
 def test_min_parity_unreachable_returns_none():

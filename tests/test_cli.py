@@ -112,6 +112,13 @@ def test_plan_polar_past_the_simulated_block_cap_exits_3():
     assert "unreachable" in result.output
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_plan_with_every_packet_lost_exits_3(family):
+    result = run("plan", "--family", family, "--k", 8, "--pe", 1, "--plr-target", 0.5)
+    assert result.exit_code == 3
+    assert "unreachable" in result.output
+
+
 def test_seed_outside_64_bits_is_a_usage_error():
     for seed in (-1, 2**64):
         for args in (("plan", "--family", "polar", "--k", 8, "--pe", 0.05,

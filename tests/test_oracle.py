@@ -1,7 +1,7 @@
 """Decodability oracle and decode: the mask-native elimination of the xor
 codecs against the simple remap paths, the MDS oracle against counting, MDS
 decode against the scaled-packet loops, decode against the oracle for every
-family, and the batched loss counts against the oracle."""
+family, and the batched per-prefix loss totals against the oracle."""
 from __future__ import annotations
 
 import random
@@ -253,14 +253,27 @@ def test_oracle_ignores_indices_below_one_and_checks_parity_range_once():
         raise AssertionError("expected ValueError for index 99 of an 8-packet block")
 
 
-def oracle_counts(codec, erased, n: int) -> list[int]:
-    """Reference for unrecovered_counts: the oracle on each mask in turn."""
-    full = (1 << n) - 1
-    return [len(codec.unrecovered_sources(gf2.ones(~int(m) & full))) for m in erased]
+def oracle_totals(codec, erased, weights, n: int) -> list[int]:
+    """Reference for unrecovered_totals: the oracle on each mask in turn, at
+    each prefix of k+j packets, times the mask's weight. A restricted mask
+    that repeats is asked once."""
+    totals = []
+    for sent in range(codec.k, n + 1):
+        full = (1 << sent) - 1
+        lost: dict[int, int] = {}
+        total = 0
+        for m, w in zip(erased, weights):
+            seen = int(m) & full
+            if seen not in lost:
+                lost[seen] = len(codec.unrecovered_sources(gf2.ones(~seen & full)))
+            total += int(w) * lost[seen]
+        totals.append(total)
+    return totals
 
 
-def _batch_counts(codec, erased, n: int) -> list[int]:
-    return codec.unrecovered_counts(np.array(erased, dtype=np.uint64), n).tolist()
+def _batch_totals(codec, erased, weights, n: int) -> list[int]:
+    return codec.unrecovered_totals(np.array(erased, dtype=np.uint64), n,
+                                    np.array(weights, dtype=np.int64))
 
 
 @st.composite
@@ -275,7 +288,7 @@ def block_masks(draw, n: int):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_batch_counts_match_the_oracle(data):
+def test_batch_totals_match_the_oracle_at_every_prefix(data):
     family = data.draw(st.sampled_from(("mds", "fountain", "polar", "explicit", "repeats")))
     if family == "repeats":
         # zero and repeated columns leave equations that add nothing
@@ -288,26 +301,30 @@ def test_batch_counts_match_the_oracle(data):
     limit = codec.parity_limit if codec.parity_limit is not None else 64 - k
     n = k + data.draw(st.integers(0, min(limit, 64 - k)))
     erased = data.draw(block_masks(n))
-    assert _batch_counts(codec, erased, n) == oracle_counts(codec, erased, n)
+    weights = data.draw(st.lists(st.integers(0, 1 << 40), min_size=len(erased),
+                                 max_size=len(erased)))
+    assert _batch_totals(codec, erased, weights, n) == oracle_totals(codec, erased, weights, n)
 
 
-def test_batch_counts_match_the_oracle_on_every_pattern_of_polar_16_12():
+def test_batch_totals_match_the_oracle_on_every_pattern_of_polar_16_12():
     codec = polar_for_parity(12, 4, 0.05)
     erased = np.arange(1 << 16, dtype=np.uint64)
-    assert codec.unrecovered_counts(erased, 16).tolist() == oracle_counts(codec, erased, 16)
+    weights = np.arange(1 << 16, dtype=np.int64) % 7 + 1
+    assert (codec.unrecovered_totals(erased, 16, weights)
+            == oracle_totals(codec, erased, weights, 16))
 
 
-def test_batch_counts_across_chunk_boundaries():
+def test_batch_totals_across_chunk_boundaries():
     codec = polar_for_parity(12, 4, 0.05)
     gen = random.Random(3)
-    for size in (0, 1, gf2._CHUNK, gf2._CHUNK + 1):
+    for size in (0, 1, gf2._CHUNK - 1, gf2._CHUNK, gf2._CHUNK + 1):
         erased = [gen.getrandbits(16) & gen.getrandbits(16) for _ in range(size)]
-        counts = codec.unrecovered_counts(np.array(erased, dtype=np.uint64), 16)
-        assert counts.shape == (size,)
-        assert counts.tolist() == oracle_counts(codec, erased, 16)
+        weights = [gen.randrange(1, 1000) for _ in range(size)]
+        totals = _batch_totals(codec, erased, weights, 16)
+        assert totals == oracle_totals(codec, erased, weights, 16)
 
 
-def test_batch_counts_at_the_edges_of_the_mask_word():
+def test_batch_totals_at_the_edges_of_the_mask_word():
     gen = random.Random(5)
     # n = 64 fills the word; k = n leaves no parity, up to k = 64
     for codec, n in ((polar_for_parity(60, 4, 0.05), 64), (_mds(64, 60), 64),
@@ -315,13 +332,15 @@ def test_batch_counts_at_the_edges_of_the_mask_word():
                      (FountainCode(64, 9), 64), (_polar(12, 4), 12), (_mds(16, 12), 12)):
         erased = [0, (1 << n) - 1] + [gen.getrandbits(n) & gen.getrandbits(n)
                                      for _ in range(300)]
-        assert _batch_counts(codec, erased, n) == oracle_counts(codec, erased, n)
+        weights = [gen.randrange(1, 1 << 30) for _ in erased]
+        assert _batch_totals(codec, erased, weights, n) == oracle_totals(codec, erased,
+                                                                          weights, n)
 
 
-def test_batch_counts_check_the_parity_range():
+def test_batch_totals_check_the_parity_range():
     for codec in (ExplicitXorCodec(3, [0b011, 0b110]), _mds(5, 3)):
         try:
-            codec.unrecovered_counts(np.zeros(2, dtype=np.uint64), 6)
+            codec.unrecovered_totals(np.zeros(2, dtype=np.uint64), 6, np.ones(2, dtype=np.int64))
         except ValueError as exc:
             assert "parity index 3 out of range" in str(exc)
         else:

@@ -81,6 +81,18 @@ def test_mask_partition_independence():
     assert (whole == parts).all()
 
 
+def test_masks_of_fewer_packets_are_prefixes_of_masks_of_more():
+    # packet t's bit depends only on (seed, receiver, t), not on the block size
+    for seed, first in ((0, 0), (3, 17), (2**64 - 1, 1_000_003), (42, 2**40)):
+        for p_e in (0.05, 0.3):
+            wide = {m: rng.erasure_masks(seed, first, 200, m, p_e) for m in (1, 13, 32, 63, 64)}
+            for n in range(0, 64):
+                for m, masks in wide.items():
+                    if n < m:
+                        want = masks & np.uint64((1 << n) - 1)
+                        assert (rng.erasure_masks(seed, first, 200, n, p_e) == want).all()
+
+
 def test_seeds_outside_64_bits_are_rejected_not_aliased():
     assert rng.substream(0, rng.STREAM_RECEIVER) != rng.substream(rng.MASK64,
                                                                   rng.STREAM_RECEIVER)
