@@ -240,14 +240,14 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     polar_plrs = _polar_plrs(k, p_e, receivers, seed, workers)  # runs only when read
     for p in range(PARITY_SCAN_CAP + 1):
         n = k + p
-        if family == "mds" and n > 256:
-            return None
         if p == 0:
             # no parity means no decoder: residual loss is the channel itself
             plr = p_e
             method = "analytic"
             block = None
         elif family == "mds":
+            if n > 256:
+                return None
             plr = plr_mds(n, k, p_e).plr
             method = "analytic"
             block = None

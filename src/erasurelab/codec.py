@@ -153,20 +153,34 @@ class SystematicXorCodec(ErasureCodec):
                parity: dict[int, bytes]) -> int:
         """Gaussian elimination over the parity equations restricted to the
         missing source packets, in the codec's own bit positions as in
-        unrecovered_sources; payloads ride along as xor right-hand sides."""
-        ints = [0] * self.k  # each received source converted once
-        for i, pkt in recovered.items():
-            ints[i - 1] = int.from_bytes(pkt, "little")
-        have = ~missing & ((1 << self.k) - 1)
-        size = len(next(iter(parity.values()))) if parity else 0
+        unrecovered_sources. Equation e carries the right-hand side 1 << e, so
+        a unit row is a plan: the xor of the received parities in its mask and
+        of the received sources their columns cover."""
+        k = self.k
         js = list(parity)
-        rows = [(col & missing,
-                 int.from_bytes(parity[j], "little") ^ gf2.xor_rows(col & have, ints))
-                for j, col in zip(js, self._parity_columns(js))]
-        for coeffs, rhs in gf2.reduce_augmented(rows):
-            if coeffs.bit_count() == 1:
-                recovered[coeffs.bit_length()] = rhs.to_bytes(size, "little")
-                missing ^= coeffs
+        cols = self._parity_columns(js)
+        plans = [(coeffs, rhs) for coeffs, rhs in
+                 gf2.reduce_augmented([(col & missing, 1 << e) for e, col in enumerate(cols)])
+                 if coeffs.bit_count() == 1]
+        if not plans:
+            return missing
+        size = len(parity[js[0]])
+        n = k + len(js)
+        zero = bytes(size)
+        packets = np.frombuffer(b"".join([recovered.get(i, zero) for i in range(1, k + 1)]
+                                         + [parity[j] for j in js]),
+                                dtype=np.uint8).reshape(n, size)
+        have = ~missing & ((1 << k) - 1)
+        width = (n + 7) // 8
+        # row t of packets and of a plan's selection: source t+1 for t < k
+        # (zeros where lost), then parity js[t-k]
+        picks = b"".join(((rhs << k) | (gf2.xor_rows(rhs, cols) & have)).to_bytes(width, "little")
+                         for _, rhs in plans)
+        picks = np.unpackbits(np.frombuffer(picks, dtype=np.uint8).reshape(len(plans), width),
+                              axis=1, count=n, bitorder="little").view(bool)
+        for (coeffs, _), pick in zip(plans, picks):
+            recovered[coeffs.bit_length()] = np.bitwise_xor.reduce(packets[pick]).tobytes()
+            missing ^= coeffs
         return missing
 
     def _parity_columns(self, js: list[int]) -> list[int]:

@@ -132,8 +132,10 @@ def reduce_echelon(rows: Iterable[int]) -> list[int]:
 def reduce_augmented(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Same elimination as reduce_echelon, carrying a right-hand side through.
 
-    Each row is (coefficient bits, rhs) and both halves are xored together, so
-    a resulting unit row pins its unknown to the accumulated rhs.
+    Each row is (coefficient bits, rhs), rhs any int, and both halves are
+    xored together, so a resulting unit row pins its unknown to the
+    accumulated rhs. With rhs = 1 << e for input row e, the rhs of a result
+    row is the mask of the input rows it sums; decode uses that as a plan.
     """
     basis: dict[int, tuple[int, int]] = {}
     for r, rhs in rows:

@@ -3,7 +3,7 @@
 The field uses the primitive polynomial x^8+x^4+x^3+x^2+1 (0x11D) with
 generator 2. Scalar arithmetic goes through log/antilog tables built at
 import; packet-sized operations use a full 256x256 product table with numpy
-so encoding one parity packet is one table gather per source packet.
+so a block's parity costs one table gather per source packet.
 """
 from __future__ import annotations
 
@@ -52,12 +52,15 @@ def gf_pow(a: int, e: int) -> int:
     return GF_EXP[(GF_LOG[a] * e) % 255]
 
 
-def combine(coeffs, rows, acc: np.ndarray) -> np.ndarray:
-    """Xor c * rows[t] into the uint8 array acc for each nonzero coefficient
-    c = coeffs[t], and return acc."""
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc ^= MUL_TABLE[c][row]
+def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """GF(256) matrix product: xor coeffs @ rows into acc and return acc.
+
+    coeffs is (r, m), rows (m, size) and acc (r, size), all uint8. Each step
+    scales source row t by the whole column coeffs[:, t] in one table gather;
+    all-zero columns are skipped.
+    """
+    for t in np.flatnonzero(coeffs.any(axis=0)):
+        acc ^= np.take(MUL_TABLE[coeffs[:, t]], rows[t], axis=1)
     return acc
 
 
@@ -129,9 +132,11 @@ class MdsCode(ErasureCodec):
         return self.n - self.k
 
     def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
-        src = [np.frombuffer(s, dtype=np.uint8) for s in source]
-        columns = self.generator.data[:, self.k:self.k + p].T
-        return [combine(col, src, np.zeros(size, dtype=np.uint8)).tobytes() for col in columns]
+        # shapes stay explicit: reshape cannot infer a -1 axis from 0-byte packets
+        src = np.frombuffer(b"".join(source), dtype=np.uint8).reshape(self.k, size)
+        parity = combine(self.generator.data[:, self.k:self.k + p].T, src,
+                         np.zeros((p, size), dtype=np.uint8))
+        return [row.tobytes() for row in parity]
 
     def _solve(self, recovered: dict[int, bytes], missing: int,
                parity: dict[int, bytes]) -> int:
@@ -144,16 +149,18 @@ class MdsCode(ErasureCodec):
             return missing
         g = self.generator.data
         cols = [self.k + j - 1 for j in js]
-        known = [i - 1 for i in recovered]
-        src = [np.frombuffer(pkt, dtype=np.uint8) for pkt in recovered.values()]
-        # b_j = parity j minus the known systematic contributions
-        b = [combine(g[known, col], src, np.frombuffer(parity[j], dtype=np.uint8).copy())
-             for j, col in zip(js, cols)]
+        size = len(parity[js[0]])
+        src = np.frombuffer(b"".join(recovered.values()), dtype=np.uint8)
+        b = np.frombuffer(bytearray(b"".join(parity[j] for j in js)), dtype=np.uint8)
+        # row j of b: parity j minus the known systematic contributions
+        b = combine(g[np.ix_([i - 1 for i in recovered], cols)].T,
+                    src.reshape(len(recovered), size), b.reshape(len(js), size))
         a_inv = Gf256Matrix(g[np.ix_([m - 1 for m in lost], cols)].T).invert()
         if a_inv is None:
             raise AssertionError("MDS submatrix unexpectedly singular")
-        for m, row in zip(lost, a_inv.data):
-            recovered[m] = combine(row, b, np.zeros_like(b[0])).tobytes()
+        out = combine(a_inv.data, b, np.zeros_like(b))
+        for m, row in zip(lost, out):
+            recovered[m] = row.tobytes()
         return 0
 
     def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
@@ -203,7 +210,4 @@ def build_mds(n: int, k: int) -> MdsCode:
     left_inv = Gf256Matrix(v[:, :k]).invert()
     if left_inv is None:
         raise AssertionError("Vandermonde block on distinct points cannot be singular")
-    g = np.zeros_like(v)
-    for coeffs, row in zip(left_inv.data, g):
-        combine(coeffs, v, row)  # product row = xor of scaled rows of v
-    return MdsCode(n, k, Gf256Matrix(g))
+    return MdsCode(n, k, Gf256Matrix(combine(left_inv.data, v, np.zeros_like(v))))

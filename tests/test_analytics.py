@@ -218,6 +218,15 @@ def test_min_parity_unreachable_returns_none():
     assert min_parity("mds", 200, 0.5, 1e-12) is None
 
 
+def test_min_parity_past_the_mds_field_size_still_plans_no_parity():
+    # k=300 fits no MDS block, but a target at the channel rate needs no parity
+    for family in ("mds", "fountain", "polar"):
+        plan = min_parity(family, 300, 0.01, 0.05, receivers=0, workers=0)
+        assert (plan.p, plan.n, plan.plr, plan.method) == (0, 300, 0.01, "analytic")
+    assert min_parity("mds", 300, 0.05, 0.01) is None
+    assert min_parity("mds", 256, 0.05, 0.01) is None
+
+
 def test_min_parity_polar_stops_at_the_simulated_block_cap():
     # k=60 leaves room for 4 parity packets before k+p passes 64 packets
     assert min_parity("polar", 60, 0.3, 1e-7, receivers=500, seed=1) is None

@@ -1,5 +1,6 @@
 """The systematic codec front that every family shares: malformed input to
-encode and decode raises the same ValueError in each of them."""
+encode and decode raises the same ValueError in each of them, and 0-byte
+packets encode and decode."""
 from __future__ import annotations
 
 import re
@@ -42,3 +43,15 @@ def test_malformed_input_raises_the_same_error_in_every_family(family, call, mes
     assert codec.parity_limit == 4
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(codec)
+
+
+@pytest.mark.parametrize("family", sorted(CODECS))
+def test_zero_length_packets_encode_and_decode(family):
+    codec = CODECS[family]()
+    assert codec.encode([b""] * 4, 4) == [b""] * 4
+    received = {3: b"", 5: b"", 6: b"", 7: b"", 8: b""}
+    lost = codec.unrecovered_sources(received)
+    assert len(lost) < 3  # parity recovers at least one source
+    out = codec.decode(received)
+    assert out.unrecoverable == lost
+    assert out.recovered == {i: b"" for i in range(1, 5) if i not in lost}

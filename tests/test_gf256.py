@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasurelab.gf256 import MUL_TABLE, Gf256Matrix, build_mds, combine, gf_inv
 
@@ -46,6 +48,39 @@ def test_inverse_property():
         gf_inv(0)
 
 
+def reference_combine(coeffs, rows, acc: np.ndarray) -> np.ndarray:
+    """Scalar path: xor c * rows[t] into acc[i] for each nonzero c =
+    coeffs[i][t], one (output, source) pair at a time."""
+    for coeff_row, out in zip(coeffs, acc):
+        for c, row in zip(coeff_row, rows):
+            if c:
+                out ^= MUL_TABLE[c][row]
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_combine_matches_reference_combine(data):
+    r, m, size = (data.draw(st.integers(0, 6)) for _ in range(3))
+
+    def matrix(height, width):
+        cells = data.draw(st.lists(st.integers(0, 255), min_size=height * width,
+                                   max_size=height * width))
+        return np.array(cells, dtype=np.uint8).reshape(height, width)
+
+    def flags(count):
+        return np.array(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)),
+                        dtype=bool)
+
+    coeffs, rows, acc = matrix(r, m), matrix(m, size), matrix(r, size)
+    # all-zero coefficient rows and columns, which the matrix form skips
+    coeffs[flags(r)] = 0
+    coeffs[:, flags(m)] = 0
+    expect = reference_combine(coeffs, rows, acc.copy())
+    assert combine(coeffs, rows, acc) is acc
+    assert acc.tobytes() == expect.tobytes()
+
+
 def test_matrix_inverse_round_trip():
     rnd = random.Random(77)
     for _ in range(50):
@@ -54,9 +89,7 @@ def test_matrix_inverse_round_trip():
         inv = m.invert()
         if inv is None:
             continue
-        product = np.zeros((n, n), dtype=np.uint8)
-        for coeffs, row in zip(m.data, product):
-            combine(coeffs, inv.data, row)
+        product = combine(m.data, inv.data, np.zeros((n, n), dtype=np.uint8))
         assert (product == np.eye(n, dtype=np.uint8)).all()
 
 

@@ -214,7 +214,7 @@ def test_decode_matches_reference_decode(data):
     k = codec.k
     p = codec.parity_limit if codec.parity_limit is not None else data.draw(st.integers(0, 12))
     gen = random.Random(data.draw(st.integers(0, 2**32)))
-    size = data.draw(st.integers(1, 24))
+    size = data.draw(st.integers(0, 24))
     source = [gen.randbytes(size) for _ in range(k)]
     packets = dict(enumerate(source + codec.encode(source, p), start=1))
     picked = data.draw(st.sets(st.sampled_from(sorted(packets))))
