@@ -12,6 +12,7 @@ from erasurelab import build_mds, gf2, rng
 from erasurelab.analytics import (
     PARITY_SCAN_CAP,
     ParityPlan,
+    _lost_totals,
     collectable_packets,
     delay_budget,
     min_parity,
@@ -272,6 +273,22 @@ def test_empirical_loss_total_equals_the_oracle_total():
                 assert got.plr == want, (seed, workers)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_lost_totals_are_pinned_for_every_family():
+    # recorded from the whole-array mask draw; 300,000 receivers span two
+    # batches and are no multiple of the mask draw's piece size
+    want = {
+        "mds": [179791, 82600, 24064, 4985, 848],
+        "fountain": [179791, 106486, 78248, 35149, 12839],
+        "polar": [179791, 82600, 46402, 22982, 9282],
+    }
+    codecs = {"mds": build_mds(16, 12), "fountain": FountainCode(12, 0, n=16),
+              "polar": polar_for_parity(12, 4, 0.05)}
+    for family, codec in codecs.items():
+        for workers in (1, 2):
+            assert _lost_totals(codec, 16, 0.05, 300_000, 0, workers) == want[family], \
+                (family, workers)
 
 
 def test_empirical_at_channel_extremes():

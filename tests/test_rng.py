@@ -2,8 +2,34 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from erasurelab import rng
+
+
+def _mix64_whole(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(rng._MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(rng._MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_erasure_masks(seed: int, first: int, count: int, packets: int,
+                            p_e: float) -> np.ndarray:
+    """The whole-array draw: every packet's words mixed over all receivers at
+    once, in fresh temporaries."""
+    threshold = int(p_e * 2.0**64)
+    root = rng.substream(seed, rng.STREAM_RECEIVER)
+    with np.errstate(over="ignore"):
+        r = np.arange(first, first + count, dtype=np.uint64)
+        base = _mix64_whole(np.uint64(root) + (r + np.uint64(1)) * np.uint64(rng._GOLDEN))
+        masks = np.zeros(count, dtype=np.uint64)
+        if threshold >= 2**64:
+            return masks | np.uint64((1 << packets) - 1)
+        thr = np.uint64(threshold)
+        for t in range(packets):
+            w = _mix64_whole(base + np.uint64(((t + 1) * rng._GOLDEN) & rng.MASK64))
+            masks |= (w < thr).astype(np.uint64) << np.uint64(t)
+    return masks
 
 
 def test_word_is_deterministic_and_64_bit():
@@ -63,13 +89,39 @@ def test_vectorized_masks_edge_probabilities():
     assert (ones == (1 << 16) - 1).all()
 
 
-def test_vectorized_masks_reject_wide_blocks():
-    try:
-        rng.erasure_masks(0, 0, 1, 65, 0.1)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError for more than 64 packets")
+def test_piece_boundaries_change_no_bit(monkeypatch):
+    # with 7-receiver pieces the counts fall short of, fill and cross piece boundaries
+    monkeypatch.setattr(rng, "_PIECE", 7)
+    for first in (0, 3, 2**40 + 5):
+        for count in (0, 1, 6, 7, 8, 22):
+            for packets in (1, 16, 64):
+                for p_e in (0.0, 0.05, 1.0):
+                    got = rng.erasure_masks(9, first, count, packets, p_e)
+                    assert got.dtype == np.uint64 and got.shape == (count,)
+                    want = [rng.erasure_mask(9, first + i, packets, p_e) for i in range(count)]
+                    assert got.tolist() == want, (first, count, packets, p_e)
+
+
+def test_full_size_draw_equals_the_whole_array_draw():
+    count = 2 * rng._PIECE + 3
+    for seed, first, packets, p_e in ((0, 0, 16, 0.05), (7, 1_000_003, 64, 0.3),
+                                      (2**64 - 1, 5, 13, 0.05)):
+        got = rng.erasure_masks(seed, first, count, packets, p_e)
+        want = reference_erasure_masks(seed, first, count, packets, p_e)
+        assert got.tobytes() == want.tobytes(), (seed, first, packets, p_e)
+
+
+@pytest.mark.parametrize("first, count, packets, p_e", [
+    (0, 1, 16, -0.1), (0, 1, 16, 1.5), (0, 1, 16, float("nan")), (-3, 1, 16, 0.05),
+    (2**64, 1, 16, 0.05), (0, 1, 65, 0.1), (0, 1, -1, 0.1),
+    (0, -1, 16, 0.05), (2**64 - 1, 2, 16, 0.05),
+])
+def test_both_draws_reject_bad_arguments(first, count, packets, p_e):
+    with pytest.raises(ValueError):
+        rng.erasure_masks(0, first, count, packets, p_e)
+    if count == 1:  # the same receiver, drawn alone
+        with pytest.raises(ValueError):
+            rng.erasure_mask(0, first, packets, p_e)
 
 
 def test_mask_partition_independence():
