@@ -187,10 +187,11 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     if codec.k != k:
         raise ValueError(f"codec has k={codec.k}, expected {k}")
     limit = codec.parity_limit
-    if limit is not None and n - k > limit:
+    if n - k > limit:
         raise ValueError(f"codec provides {limit} parity packets, n={n} needs {n - k}")
+    family = codec.spec.family  # before the draw: an explicit codec has no family
     lost = _lost_totals(codec, n, p_e, receivers, seed, workers)[-1]
-    return PlrReport(family=codec.spec.family, n=n, k=k, p_e=p_e,
+    return PlrReport(family=family, n=n, k=k, p_e=p_e,
                      plr=lost / (receivers * k), method="mc", receivers=receivers, seed=seed)
 
 

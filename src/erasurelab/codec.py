@@ -1,5 +1,5 @@
 """Shared codec front: code descriptors, decode results, the ErasureCodec
-base class of every family, and the xor codecs.
+base class of every family, and the xor codec.
 
 All families present the same systematic wire format. Packet indices are
 1-based: 1..k are the source packets sent verbatim, k+j is parity packet j.
@@ -41,8 +41,9 @@ class DecodeResult:
     unrecoverable: frozenset[int]
 
 
-def normalize_received(received, limit: int | None) -> dict[int, bytes]:
-    """Validate (index, packet) input and return it as a dict."""
+def normalize_received(received, limit: int) -> dict[int, bytes]:
+    """Validate (index, packet) input, indices in 1..limit, and return it as
+    a dict."""
     if isinstance(received, Mapping):
         pairs = list(received.items())
     else:
@@ -50,7 +51,7 @@ def normalize_received(received, limit: int | None) -> dict[int, bytes]:
     out: dict[int, bytes] = {}
     size = None
     for idx, pkt in pairs:
-        if idx < 1 or (limit is not None and idx > limit):
+        if not 1 <= idx <= limit:
             raise ValueError(f"packet index {idx} out of range")
         if idx in out:
             raise ValueError(f"duplicate packet index {idx}")
@@ -63,31 +64,31 @@ def normalize_received(received, limit: int | None) -> dict[int, bytes]:
 
 
 class ErasureCodec:
-    """Systematic codec over the shared wire format. Families supply only
-    `_parity`, which computes parity packets, `_solve`, which recovers lost
-    sources from received parity, `unrecovered_sources` and its batch count
-    `unrecovered_totals`."""
+    """Systematic codec for one fixed block of n packets: k sources and
+    parity_limit = n - k parity packets. Families supply only `_parity`,
+    which computes parity packets, `_solve`, which recovers lost sources from
+    received parity, `unrecovered_sources` and its batch count
+    `unrecovered_totals`.
 
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("need at least one source packet")
+    `spec` describes the codec so that `build_codec(c.spec)` rebuilds its
+    parity columns, or it raises ValueError and says why."""
+
+    def __init__(self, n: int, k: int):
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        self.n = n
         self.k = k
-
-    @property
-    def parity_limit(self) -> int | None:
-        return None
+        self.parity_limit = n - k
 
     def _check_parity_index(self, j: int) -> None:
-        limit = self.parity_limit
-        if j < 1 or (limit is not None and j > limit):
+        if not 1 <= j <= self.parity_limit:
             raise ValueError(f"parity index {j} out of range")
 
     def encode(self, source: Sequence[bytes], p: int) -> list[bytes]:
         """Parity packets 1..p for k equal-length source packets."""
         if len(source) != self.k:
             raise ValueError(f"expected {self.k} source packets, got {len(source)}")
-        limit = self.parity_limit
-        if p < 0 or (limit is not None and p > limit):
+        if not 0 <= p <= self.parity_limit:
             raise ValueError(f"parity count {p} out of range")
         size = len(source[0])
         if any(len(s) != size for s in source):
@@ -99,8 +100,7 @@ class ErasureCodec:
         iterable. Received sources pass through; the family's solve recovers
         what it can of the rest from the received parity."""
         k = self.k
-        limit = self.parity_limit
-        packets = normalize_received(received, None if limit is None else k + limit)
+        packets = normalize_received(received, self.n)
         recovered = {i: pkt for i, pkt in sorted(packets.items()) if i <= k}
         have = 0
         for i in recovered:
@@ -137,12 +137,22 @@ class ErasureCodec:
         raise NotImplementedError
 
 
-class SystematicXorCodec(ErasureCodec):
-    """Systematic binary codec; parity j xors the source packets selected by
-    a k-bit column mask (bit t-1 stands for source packet t)."""
+class ExplicitXorCodec(ErasureCodec):
+    """Systematic binary codec over a fixed tuple of parity column masks;
+    parity j xors the source packets selected by the k-bit column masks[j-1]
+    (bit t-1 stands for source packet t)."""
+
+    def __init__(self, k: int, masks: Sequence[int]):
+        super().__init__(k + len(masks), k)
+        self.masks = tuple(m & ((1 << k) - 1) for m in masks)
+
+    @property
+    def spec(self) -> CodeSpec:
+        raise ValueError("an explicit column list belongs to no family, so it has no CodeSpec")
 
     def parity_mask(self, j: int) -> int:
-        raise NotImplementedError
+        self._check_parity_index(j)
+        return self.masks[j - 1]
 
     def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
         ints = [int.from_bytes(s, "little") for s in source]
@@ -184,8 +194,12 @@ class SystematicXorCodec(ErasureCodec):
         return missing
 
     def _parity_columns(self, js: list[int]) -> list[int]:
-        """Column masks of parity packets js, each at least 1."""
-        return [self.parity_mask(j) for j in js]
+        """Column masks of parity packets js, after one range check of the
+        largest index. A column may be 0: it then adds no equation."""
+        if js:
+            self._check_parity_index(max(js))
+        masks = self.masks
+        return [masks[j - 1] for j in js]
 
     def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
         """Like decode, on indices alone: which source packets stay missing.
@@ -213,32 +227,6 @@ class SystematicXorCodec(ErasureCodec):
         # a lost parity packet drops its equation: bit j-1 of erased >> k
         return gf2.unsolved_totals(columns, erased & np.uint64((1 << k) - 1),
                                    erased >> np.uint64(k), weights)
-
-
-class ExplicitXorCodec(SystematicXorCodec):
-    """Xor codec with a fixed, explicit list of parity column masks."""
-
-    def __init__(self, k: int, masks: Sequence[int]):
-        super().__init__(k)
-        self.masks = tuple(m & ((1 << k) - 1) for m in masks)
-
-    @property
-    def spec(self) -> CodeSpec:
-        return CodeSpec(family="fountain", n=self.k + len(self.masks), k=self.k)
-
-    @property
-    def parity_limit(self) -> int | None:
-        return len(self.masks)
-
-    def parity_mask(self, j: int) -> int:
-        self._check_parity_index(j)
-        return self.masks[j - 1]
-
-    def _parity_columns(self, js: list[int]) -> list[int]:
-        if js:
-            self._check_parity_index(max(js))
-        masks = self.masks
-        return [masks[j - 1] for j in js]
 
 
 def build_codec(spec: CodeSpec):

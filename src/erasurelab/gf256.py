@@ -117,8 +117,7 @@ class MdsCode(ErasureCodec):
     """
 
     def __init__(self, n: int, k: int, generator: Gf256Matrix):
-        super().__init__(k)
-        self.n = n
+        super().__init__(n, k)
         self.generator = generator
         self._sources = frozenset(range(1, k + 1))
         self._block = frozenset(range(1, n + 1))
@@ -126,10 +125,6 @@ class MdsCode(ErasureCodec):
     @property
     def spec(self) -> CodeSpec:
         return CodeSpec(family="mds", n=self.n, k=self.k)
-
-    @property
-    def parity_limit(self) -> int:
-        return self.n - self.k
 
     def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
         # shapes stay explicit: reshape cannot infer a -1 axis from 0-byte packets

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .analytics import ErasurePattern
-from .codec import CodeSpec
 
 PATTERN_CAP = 10**6
 
@@ -33,7 +32,6 @@ class PatternSet:
 class RecoveryTable:
     """Per pattern and per round, how many lost packets were repaired."""
 
-    code: CodeSpec
     rounds: int
     lost_sizes: tuple[int, ...]
     recovered: tuple[tuple[int, ...], ...]  # [pattern][round 0..rounds]
@@ -51,7 +49,6 @@ class RecoveryTable:
 class CdfCurve:
     """Weighted fraction of impaired receivers repaired per round."""
 
-    code: CodeSpec
     p_e: float
     e_max: int
     points: tuple[tuple[int, float], ...]
@@ -93,14 +90,12 @@ def simulate_incremental(codec, pattern_set: PatternSet, rounds: int | None = No
     """
     if codec.k != pattern_set.k:
         raise ValueError(f"codec has k={codec.k}, patterns have k={pattern_set.k}")
+    limit = codec.parity_limit
     if rounds is None:
-        rounds = codec.parity_limit
-        if rounds is None:
-            raise ValueError("codec has no parity limit; pass rounds explicitly")
+        rounds = limit
     if rounds < 0:
         raise ValueError(f"rounds must be at least 0, got {rounds}")
-    limit = codec.parity_limit
-    if limit is not None and rounds > limit:
+    if rounds > limit:
         raise ValueError(f"rounds {rounds} exceed the parity limit {limit}")
     k = codec.k
     lost_sizes = []
@@ -118,8 +113,7 @@ def simulate_incremental(codec, pattern_set: PatternSet, rounds: int | None = No
             row.append(len(lost) - len(unrec))
         lost_sizes.append(len(lost))
         recovered.append(tuple(row))
-    return RecoveryTable(code=codec.spec, rounds=rounds,
-                         lost_sizes=tuple(lost_sizes), recovered=tuple(recovered))
+    return RecoveryTable(rounds=rounds, lost_sizes=tuple(lost_sizes), recovered=tuple(recovered))
 
 
 def weighted_cdf(table: RecoveryTable, pattern_set: PatternSet,
@@ -147,5 +141,5 @@ def weighted_cdf(table: RecoveryTable, pattern_set: PatternSet,
                 for idx, p in enumerate(pattern_set.patterns)
                 if table.recovered[idx][t] == table.lost_sizes[idx])
         points.append((t, num / denom))
-    return CdfCurve(code=table.code, p_e=pattern_set.p_e, e_max=pattern_set.e_max,
+    return CdfCurve(p_e=pattern_set.p_e, e_max=pattern_set.e_max,
                     points=tuple(points), partial=partial)

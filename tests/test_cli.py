@@ -150,7 +150,7 @@ def test_plr_csv_schema(tmp_path):
     result = run("plr", "--family", "mds", "--n", 8, "--k", 4, "--pe", 0.05,
                  "--csv", out)
     assert result.exit_code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["family", "n", "k", "pe", "method", "receivers", "seed", "plr"]
     assert rows[1][0] == "mds"
     assert rows[1][4] == "analytic"
@@ -180,7 +180,7 @@ def test_multicast_stdout_and_csv(tmp_path):
                  "--families", "mds,polar", "--csv", out)
     assert result.exit_code == 0
     assert result.output.splitlines()[0] == "family,parity_sent,weighted_fraction"
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["family", "parity_sent", "weighted_fraction"]
     families = {r[0] for r in rows[1:]}
     assert families == {"mds", "polar"}
@@ -237,7 +237,7 @@ def test_bench_csv_schema(tmp_path):
     result = run("bench", "--family", "fountain", "--k", 8, "--parity", 4,
                  "--size", 256, "--seed", 9, "--csv", out)
     assert result.exit_code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["family", "k", "parity", "erasures", "size",
                       "encode_ns_med", "decode_ns_med"]
     assert rows[1][:5] == ["fountain", "8", "4", "4", "256"]

@@ -1,13 +1,16 @@
 """The systematic codec front that every family shares: malformed input to
-encode and decode raises the same ValueError in each of them, and 0-byte
-packets encode and decode."""
+encode and decode raises the same ValueError in each of them, 0-byte
+packets encode and decode, and a family's spec rebuilds its codec."""
 from __future__ import annotations
 
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from erasurelab import FountainCode, build_mds, polar_for_parity
+from erasurelab import (CodeSpec, ExplicitXorCodec, FountainCode, build_codec, build_mds,
+                        plr_empirical, polar_for_parity)
 
 # k = 4 source packets and a parity limit of 4 in every family
 CODECS = {
@@ -55,3 +58,35 @@ def test_zero_length_packets_encode_and_decode(family):
     out = codec.decode(received)
     assert out.unrecoverable == lost
     assert out.recovered == {i: b"" for i in range(1, 5) if i not in lost}
+
+
+@st.composite
+def specs(draw):
+    """A CodeSpec that build_codec accepts, for any of the three families."""
+    family = draw(st.sampled_from(("mds", "fountain", "polar")))
+    k = draw(st.integers(1, 40))
+    n = k + draw(st.integers(1 if family == "mds" else 0, 24))
+    return CodeSpec(family=family, n=n, k=k, seed=draw(st.integers(0, 2**64 - 1)),
+                    epsilon=draw(st.floats(0.01, 0.99)))
+
+
+def _columns(codec):
+    return codec.generator.data.tobytes() if codec.spec.family == "mds" else codec.masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs())
+def test_spec_rebuilds_the_codec(spec):
+    codec = build_codec(spec)
+    again = build_codec(codec.spec)
+    assert again.spec == codec.spec
+    assert (again.n, again.k, again.parity_limit) == (codec.n, codec.k, codec.n - codec.k)
+    assert _columns(again) == _columns(codec)
+
+
+def test_explicit_codec_has_no_spec():
+    codec = ExplicitXorCodec(3, [0b011, 0b110])
+    with pytest.raises(ValueError, match="belongs to no family"):
+        codec.spec
+    with pytest.raises(ValueError, match="belongs to no family"):
+        plr_empirical(codec, 5, 3, 0.1, receivers=100)

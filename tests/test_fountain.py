@@ -5,15 +5,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from erasurelab import FountainCode
+from erasurelab import FountainCode, rng
 from erasurelab.gf2 import reduce_echelon
 
 
 def test_columns_are_deterministic_per_seed():
-    a = FountainCode(12, seed=5)
-    b = FountainCode(12, seed=5)
-    c = FountainCode(12, seed=6)
+    a = FountainCode(12, seed=5, n=76)
+    b = FountainCode(12, seed=5, n=76)
+    c = FountainCode(12, seed=6, n=76)
     masks_a = [a.parity_mask(j) for j in range(1, 65)]
     masks_b = [b.parity_mask(j) for j in range(1, 65)]
     masks_c = [c.parity_mask(j) for j in range(1, 65)]
@@ -33,7 +35,7 @@ def test_bounded_code_rejects_parity_past_its_limit():
 
 
 def test_mean_column_degree_is_half_k():
-    code = FountainCode(10, seed=7)
+    code = FountainCode(10, seed=7, n=10 + 10000)
     total = sum(code.parity_mask(j).bit_count() for j in range(1, 10001))
     mean = total / 10000
     # each source joins a column with probability 1/2; sigma ~ 0.016
@@ -42,8 +44,8 @@ def test_mean_column_degree_is_half_k():
 
 def test_degree_zero_columns_occur_at_coin_rate():
     # an all-miss column has probability 2^-k; k=6 makes it observable
-    code = FountainCode(6, seed=11)
     draws = 40000
+    code = FountainCode(6, seed=11, n=6 + draws)
     zeros = sum(1 for j in range(1, draws + 1) if code.parity_mask(j) == 0)
     expect = draws * 2**-6
     sigma = math.sqrt(draws * 2**-6 * (1 - 2**-6))
@@ -58,7 +60,7 @@ def test_square_system_invertibility_rate():
     trials = 3000
     hits = 0
     for seed in range(trials):
-        code = FountainCode(k, seed=seed)
+        code = FountainCode(k, seed=seed, n=2 * k)
         if len(reduce_echelon([code.parity_mask(j) for j in range(1, k + 1)])) == k:
             hits += 1
     sigma = math.sqrt(expect * (1 - expect) / trials)
@@ -113,14 +115,11 @@ def test_parity_limit_enforced_when_n_given():
     assert code.parity_limit == 2
     with pytest.raises(ValueError):
         code.encode([b"a", b"b", b"c", b"d"], 3)
-    unbounded = FountainCode(4, seed=0)
-    assert unbounded.parity_limit is None
-    unbounded.encode([b"a", b"b", b"c", b"d"], 40)
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        FountainCode(0, seed=1)
+        FountainCode(0, seed=1, n=4)
     with pytest.raises(ValueError):
         FountainCode(4, seed=1, n=3)
 
@@ -130,3 +129,22 @@ def test_spec_reports_seed():
     assert code.spec.family == "fountain"
     assert code.spec.seed == 9
     assert (code.spec.n, code.spec.k) == (8, 4)
+
+
+def test_columns_follow_the_seeded_stream():
+    # column j is the k-bit draw of word j of the seed's fountain stream
+    for k, seed in ((1, 0), (12, 5), (64, 2**64 - 1), (100, 3)):
+        stream = rng.substream(seed, rng.STREAM_FOUNTAIN)
+        code = FountainCode(k, seed, n=k + 40)
+        assert code.masks == tuple(rng.bits(rng.word(stream, j), k) for j in range(1, 41))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 80), seed=st.integers(0, 2**64 - 1),
+       extra=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+def test_longer_block_extends_the_shorter_one(k, seed, extra):
+    # column j does not depend on n: two blocks agree on every shared column
+    a, b = (FountainCode(k, seed, n=k + p) for p in extra)
+    shared = min(extra)
+    assert a.masks[:shared] == b.masks[:shared]
+    assert all(a.parity_mask(j) == b.parity_mask(j) for j in range(1, shared + 1))

@@ -139,9 +139,7 @@ def test_default_rounds_use_parity_budget():
     codec = PolarCodec(construct_systematic(4, 8, 0.05))
     table = simulate_incremental(codec, patterns)
     assert table.rounds == 8
-    unbounded = FountainCode(8, seed=1)
-    with pytest.raises(ValueError):
-        simulate_incremental(unbounded, patterns)
+    assert simulate_incremental(FountainCode(8, seed=1, n=11), patterns).rounds == 3
 
 
 def test_explicit_codec_permutation_changes_curve():

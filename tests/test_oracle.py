@@ -56,8 +56,7 @@ def reference_decode(codec, received) -> DecodeResult:
     """Simple path: remap each parity column into a dense space of the
     missing source packets and subtract each known source from every row
     that covers it; payloads ride along as xor right-hand sides."""
-    limit = codec.parity_limit
-    packets = normalize_received(received, None if limit is None else codec.k + limit)
+    packets = normalize_received(received, codec.n)
     known = {i: pkt for i, pkt in packets.items() if i <= codec.k}
     missing = [i for i in range(1, codec.k + 1) if i not in known]
     if not missing:
@@ -140,14 +139,13 @@ def _mds(n: int, k: int):
 
 @st.composite
 def codecs(draw, max_k: int = 40, families=("fountain", "polar", "explicit")):
-    """A fountain (bounded or not), polar, explicit xor or MDS codec."""
+    """A fountain, polar, explicit xor or MDS codec."""
     k = draw(st.integers(1, max_k))
     family = draw(st.sampled_from(families))
     if family == "mds":
         return _mds(k + draw(st.integers(1, 12)), k)
     if family == "fountain":
-        n = draw(st.one_of(st.none(), st.integers(k, k + 12)))
-        return FountainCode(k, draw(st.integers(0, 2**64 - 1)), n=n)
+        return FountainCode(k, draw(st.integers(0, 2**64 - 1)), n=draw(st.integers(k, k + 12)))
     if family == "polar":
         return _polar(k, draw(st.integers(0, 12)))
     masks = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=12))
@@ -166,15 +164,14 @@ def _outcome(fn, received):
 def test_oracle_matches_reference_path(data):
     codec = data.draw(codecs(families=("fountain", "polar", "explicit", "mds")))
     k = codec.k
-    limit = codec.parity_limit if codec.parity_limit is not None else 12
+    limit = codec.parity_limit
     # duplicates, any order, indices below 1 and parity indices past the limit
     received = data.draw(st.lists(st.integers(-2, k + limit + 2), max_size=k + limit + 4))
     got = _outcome(codec.unrecovered_sources, iter(received))
     want = _outcome(lambda r: reference_unrecovered(codec, r), iter(received))
     assert got == want
     if got is ValueError:
-        assert codec.parity_limit is not None
-        assert max(received) > k + codec.parity_limit
+        assert max(received) > k + limit
         assert not set(range(1, k + 1)) <= set(received)
     else:
         assert got <= frozenset(range(1, k + 1))
@@ -186,7 +183,7 @@ def test_oracle_matches_reference_path(data):
 def test_decode_agrees_with_oracle_and_returns_source_bytes(data):
     codec = data.draw(codecs(max_k=24, families=("mds", "fountain", "polar", "explicit")))
     k = codec.k
-    p = codec.parity_limit if codec.parity_limit is not None else data.draw(st.integers(0, 12))
+    p = codec.parity_limit
     gen = random.Random(data.draw(st.integers(0, 2**32)))
     source = [gen.randbytes(16) for _ in range(k)]
     packets = dict(enumerate(source + codec.encode(source, p), start=1))
@@ -212,7 +209,7 @@ def _decoded(decode, received):
 def test_decode_matches_reference_decode(data):
     codec = data.draw(codecs(max_k=24, families=("mds", "fountain", "polar", "explicit")))
     k = codec.k
-    p = codec.parity_limit if codec.parity_limit is not None else data.draw(st.integers(0, 12))
+    p = codec.parity_limit
     gen = random.Random(data.draw(st.integers(0, 2**32)))
     size = data.draw(st.integers(0, 24))
     source = [gen.randbytes(size) for _ in range(k)]
@@ -222,7 +219,7 @@ def test_decode_matches_reference_decode(data):
     # returns wrong bytes); both paths must still return the same bytes
     corrupt = data.draw(st.sets(st.sampled_from(sorted(packets)[k:]))) if p else set()
     received = [(i, gen.randbytes(size) if i in corrupt else packets[i]) for i in picked]
-    # duplicates and indices outside 1..k+p, which an unbounded fountain accepts
+    # extra indices: new ones, duplicates and ones outside 1..k+p, which decode rejects
     extra = data.draw(st.lists(st.integers(-1, k + p + 3), max_size=2))
     received += [(i, packets.get(i) or gen.randbytes(size)) for i in extra]
     received = data.draw(st.permutations(received))
@@ -298,7 +295,7 @@ def test_batch_totals_match_the_oracle_at_every_prefix(data):
     else:
         codec = data.draw(codecs(max_k=60, families=(family,)))
     k = codec.k
-    limit = codec.parity_limit if codec.parity_limit is not None else 64 - k
+    limit = codec.parity_limit
     n = k + data.draw(st.integers(0, min(limit, 64 - k)))
     erased = data.draw(block_masks(n))
     weights = data.draw(st.lists(st.integers(0, 1 << 40), min_size=len(erased),
@@ -329,7 +326,7 @@ def test_batch_totals_at_the_edges_of_the_mask_word():
     # n = 64 fills the word; k = n leaves no parity, up to k = 64
     for codec, n in ((polar_for_parity(60, 4, 0.05), 64), (_mds(64, 60), 64),
                      (FountainCode(60, 9, n=64), 64), (polar_for_parity(64, 0, 0.05), 64),
-                     (FountainCode(64, 9), 64), (_polar(12, 4), 12), (_mds(16, 12), 12)):
+                     (FountainCode(64, 9, n=64), 64), (_polar(12, 4), 12), (_mds(16, 12), 12)):
         erased = [0, (1 << n) - 1] + [gen.getrandbits(n) & gen.getrandbits(n)
                                      for _ in range(300)]
         weights = [gen.randrange(1, 1 << 30) for _ in erased]
