@@ -175,6 +175,7 @@ def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
                     "polar has no closed-form loss rate; use --method mc")
         else:
             seed = resolve_seed(seed)
+            rng.check_packets(n)  # before build_codec draws n - k fountain columns
             spec = CodeSpec(family=family, n=n, k=k,
                             seed=seed if family == "fountain" else None,
                             epsilon=pe if family == "polar" else None)

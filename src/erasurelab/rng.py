@@ -70,14 +70,19 @@ def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
     np.bitwise_xor(z, tmp, out=z)
 
 
+def check_packets(packets: int) -> None:
+    """Reject a block that does not fit one erasure mask word."""
+    if not 0 <= packets <= MAX_PACKETS:
+        raise ValueError(f"at most {MAX_PACKETS} packets per simulated block, got {packets}")
+
+
 def _threshold(first: int, count: int, packets: int, p_e: float) -> int:
     """Loss threshold on a 64-bit word, once the draw's arguments are checked."""
     if not 0.0 <= p_e <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
     if first < 0 or count < 0 or first + count > 2**64:
         raise ValueError(f"receivers must lie in [0, 2**64), got first={first}, count={count}")
-    if not 0 <= packets <= MAX_PACKETS:
-        raise ValueError(f"at most {MAX_PACKETS} packets per simulated block, got {packets}")
+    check_packets(packets)
     return int(p_e * 2.0**64)
 
 

@@ -145,6 +145,13 @@ def test_plr_bad_shape_exits_2():
     assert result.exit_code == 2
 
 
+def test_plr_mc_rejects_a_block_past_the_mask_word_before_building_the_code():
+    result = run("plr", "--family", "fountain", "--n", 10**9, "--k", 4, "--pe", 0.1,
+                 "--method", "mc", "--seed", 1)
+    assert result.exit_code == 2
+    assert "at most 64 packets per simulated block, got 1000000000" in result.output
+
+
 def test_plr_csv_schema(tmp_path):
     out = tmp_path / "plr.csv"
     result = run("plr", "--family", "mds", "--n", 8, "--k", 4, "--pe", 0.05,

@@ -292,6 +292,11 @@ def test_batch_totals_match_the_oracle_at_every_prefix(data):
         k = data.draw(st.integers(1, 40))
         pool = [0] + data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=3))
         codec = ExplicitXorCodec(k, data.draw(st.lists(st.sampled_from(pool), max_size=12)))
+    elif family == "fountain":
+        # up to 64 - k random columns: over-determined systems that fill the mask word
+        k = data.draw(st.integers(1, 60))
+        codec = FountainCode(k, data.draw(st.integers(0, 2**64 - 1)),
+                             n=k + data.draw(st.integers(0, 64 - k)))
     else:
         codec = data.draw(codecs(max_k=60, families=(family,)))
     k = codec.k
