@@ -60,8 +60,7 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
     The decode side is the worst case for a systematic code: erasure_count
     losses (default p), all of them source packets, repaired from parity.
     """
-    # a zero-parity run still needs a codec for the passthrough decode
-    spec = CodeSpec(family=family, n=k + max(p, 1), k=k, seed=seed)
+    spec = CodeSpec(family=family, n=k + p, k=k, seed=seed)
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"need at least {MIN_ITERATIONS} iterations")
     if erasure_count is None:

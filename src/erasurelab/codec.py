@@ -65,10 +65,10 @@ def normalize_received(received, limit: int) -> dict[int, bytes]:
 
 class ErasureCodec:
     """Systematic codec for one fixed block of n packets: k sources and
-    parity_limit = n - k parity packets. Families supply only `_parity`,
-    which computes parity packets, `_solve`, which recovers lost sources from
-    received parity, `unrecovered_sources` and its batch count
-    `unrecovered_totals`.
+    parity_limit = n - k parity packets. The base class owns the checks and
+    the split into sources and parity of every operation; families supply
+    only `_parity` for `encode`, `_solve` for `decode`, `_unsolved` for
+    `unrecovered_sources` and `_unsolved_totals` for `unrecovered_totals`.
 
     `spec` describes the codec so that `build_codec(c.spec)` rebuilds its
     parity columns, or it raises ValueError and says why."""
@@ -79,6 +79,7 @@ class ErasureCodec:
         self.n = n
         self.k = k
         self.parity_limit = n - k
+        self._sources = frozenset(range(1, k + 1))
 
     def _check_parity_index(self, j: int) -> None:
         if not 1 <= j <= self.parity_limit:
@@ -124,9 +125,31 @@ class ErasureCodec:
         `parity` maps parity index j to its packet, in index order."""
         raise NotImplementedError
 
-    def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
-        """Like decode, on indices alone: which source packets stay missing."""
+    def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
+        """Which of the lost sources `missing`, not empty, the checked parity
+        indices `parity` leave unrecovered."""
         raise NotImplementedError
+
+    def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
+                         weights: np.ndarray) -> list[int]:
+        """unrecovered_totals for p = n - k, with each mask split into its
+        source word `lost` and its parity word `dropped`."""
+        raise NotImplementedError
+
+    def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
+        """Like decode, on indices alone: which source packets stay missing.
+        Indices below 1 are ignored; an index past n raises while a source is
+        missing."""
+        received = set(received_indices)
+        missing = self._sources.difference(received)
+        if not missing:
+            return missing
+        k = self.k
+        # set differences, not a loop over every index: multicast asks once per round
+        parity = [i - k for i in received.difference(self._sources) if i > k]
+        if parity:
+            self._check_parity_index(max(parity))
+        return self._unsolved(missing, parity)
 
     def unrecovered_totals(self, erased: np.ndarray, n: int, weights: np.ndarray) -> list[int]:
         """Entry j, for j = 0..n-k: the sum over the uint64 erasure masks of a
@@ -134,7 +157,11 @@ class ErasureCodec:
         times how many source packets stay missing when only the first k+j
         packets were sent; that count is unrecovered_sources over the packets
         of the first k+j that the mask leaves received."""
-        raise NotImplementedError
+        k = self.k
+        if n != k:  # n < k raises too
+            self._check_parity_index(n - k)
+        return self._unsolved_totals(erased & np.uint64((1 << k) - 1), erased >> np.uint64(k),
+                                     n - k, weights)
 
 
 class ExplicitXorCodec(ErasureCodec):
@@ -156,22 +183,21 @@ class ExplicitXorCodec(ErasureCodec):
 
     def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
         ints = [int.from_bytes(s, "little") for s in source]
-        return [gf2.xor_rows(col, ints).to_bytes(size, "little")
-                for col in self._parity_columns(list(range(1, p + 1)))]
+        return [gf2.xor_rows(col, ints).to_bytes(size, "little") for col in self.masks[:p]]
 
     def _solve(self, recovered: dict[int, bytes], missing: int,
                parity: dict[int, bytes]) -> int:
-        """Gaussian elimination over the parity equations restricted to the
-        missing source packets, in the codec's own bit positions as in
-        unrecovered_sources. Equation e carries the right-hand side 1 << e, so
-        a unit row is a plan: the xor of the received parities in its mask and
-        of the received sources their columns cover."""
+        """Gaussian elimination over the received parity equations with the
+        missing sources as the unknowns, in the codec's own bit positions as
+        in _unsolved. Equation e is its column plus the selection bit k + e,
+        so the bits of a unit row outside `missing` are a plan: the received
+        sources its columns cover and the received parities it sums."""
         k = self.k
         js = list(parity)
-        cols = self._parity_columns(js)
-        plans = [(coeffs, rhs) for coeffs, rhs in
-                 gf2.reduce_augmented([(col & missing, 1 << e) for e, col in enumerate(cols)])
-                 if coeffs.bit_count() == 1]
+        masks = self.masks
+        rows = gf2.reduce_augmented([masks[j - 1] | 1 << (k + e) for e, j in enumerate(js)],
+                                    missing)
+        plans = [(unit, r ^ unit) for r in rows if (unit := r & missing).bit_count() == 1]
         if not plans:
             return missing
         size = len(parity[js[0]])
@@ -180,53 +206,32 @@ class ExplicitXorCodec(ErasureCodec):
         packets = np.frombuffer(b"".join([recovered.get(i, zero) for i in range(1, k + 1)]
                                          + [parity[j] for j in js]),
                                 dtype=np.uint8).reshape(n, size)
-        have = ~missing & ((1 << k) - 1)
         width = (n + 7) // 8
         # row t of packets and of a plan's selection: source t+1 for t < k
         # (zeros where lost), then parity js[t-k]
-        picks = b"".join(((rhs << k) | (gf2.xor_rows(rhs, cols) & have)).to_bytes(width, "little")
-                         for _, rhs in plans)
+        picks = b"".join(pick.to_bytes(width, "little") for _, pick in plans)
         picks = np.unpackbits(np.frombuffer(picks, dtype=np.uint8).reshape(len(plans), width),
                               axis=1, count=n, bitorder="little").view(bool)
-        for (coeffs, _), pick in zip(plans, picks):
-            recovered[coeffs.bit_length()] = np.bitwise_xor.reduce(packets[pick]).tobytes()
-            missing ^= coeffs
+        for (unit, _), pick in zip(plans, picks):
+            recovered[unit.bit_length()] = np.bitwise_xor.reduce(packets[pick]).tobytes()
+            missing ^= unit
         return missing
 
-    def _parity_columns(self, js: list[int]) -> list[int]:
-        """Column masks of parity packets js, after one range check of the
-        largest index. A column may be 0: it then adds no equation."""
-        if js:
-            self._check_parity_index(max(js))
+    def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
+        m = 0
+        for i in missing:
+            m |= 1 << (i - 1)
         masks = self.masks
-        return [masks[j - 1] for j in js]
-
-    def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
-        """Like decode, on indices alone: which source packets stay missing.
-        Indices below 1 are ignored."""
-        k = self.k
-        have = 0
-        parity = []
-        for i in set(received_indices):
-            if i > k:
-                parity.append(i - k)
-            elif i >= 1:
-                have |= 1 << (i - 1)
-        missing = ~have & ((1 << k) - 1)
-        if not missing:
-            return frozenset()
         # rows keep the codec's own bit positions; a weight-1 basis row pins its source
-        for row in gf2.reduce_echelon([c & missing for c in self._parity_columns(parity)]):
+        for row in gf2.reduce_echelon([masks[j - 1] & m for j in parity]):
             if row.bit_count() == 1:
-                missing ^= row
-        return frozenset(gf2.ones(missing))
+                m ^= row
+        return frozenset(gf2.ones(m))
 
-    def unrecovered_totals(self, erased: np.ndarray, n: int, weights: np.ndarray) -> list[int]:
-        k = self.k
-        columns = self._parity_columns(list(range(1, n - k + 1)))
-        # a lost parity packet drops its equation: bit j-1 of erased >> k
-        return gf2.unsolved_totals(columns, erased & np.uint64((1 << k) - 1),
-                                   erased >> np.uint64(k), weights)
+    def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
+                         weights: np.ndarray) -> list[int]:
+        # a lost parity packet drops its equation
+        return gf2.unsolved_totals(self.masks[:p], lost, dropped, weights)
 
 
 def build_codec(spec: CodeSpec):

@@ -2,8 +2,9 @@
 
 Rows are stored as Python ints, bit j of a row is column j. Addition is xor,
 so row operations cost one machine word operation per word of packed bits.
-All operations are pure functions on immutable matrices. `unsolved_totals`
-runs the same elimination on many systems at once, one uint64 row per system.
+All operations are pure functions on immutable matrices. `reduce_echelon`
+and `reduce_augmented` share one elimination; `unsolved_totals` runs it on
+many systems at once, one uint64 row per system.
 """
 from __future__ import annotations
 
@@ -114,43 +115,33 @@ def reduce_echelon(rows: Iterable[int]) -> list[int]:
     Pivot of a row is its lowest set bit; every basis row is the only one with
     its pivot set. The result depends only on the row span, not on row order.
     """
+    return _eliminate(rows, -1)
+
+
+def reduce_augmented(rows: Iterable[int], unknowns: int) -> list[int]:
+    """reduce_echelon with pivots only among the bits of `unknowns`: the other
+    bits of a packed row ride along as its right-hand side, and a row whose
+    unknown bits cancel is dropped. A row with one unknown bit pins it to its
+    ride-along bits; with selection bit e on input row e those name the input
+    rows it sums, which decode uses as a plan."""
+    return _eliminate(rows, unknowns)
+
+
+def _eliminate(rows: Iterable[int], unknowns: int) -> list[int]:
+    """Reduced echelon basis sorted by pivot, the lowest unknown bit of a row."""
     basis: dict[int, int] = {}
     for r in rows:
         for p, q in basis.items():
             if r & p:
                 r ^= q
-        if not r:
+        u = r & unknowns
+        if not u:
             continue
-        p = r & -r
+        p = u & -u
         for pk in list(basis):
             if basis[pk] & p:
                 basis[pk] ^= r
         basis[p] = r
-    return [basis[p] for p in sorted(basis)]
-
-
-def reduce_augmented(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Same elimination as reduce_echelon, carrying a right-hand side through.
-
-    Each row is (coefficient bits, rhs), rhs any int, and both halves are
-    xored together, so a resulting unit row pins its unknown to the
-    accumulated rhs. With rhs = 1 << e for input row e, the rhs of a result
-    row is the mask of the input rows it sums; decode uses that as a plan.
-    """
-    basis: dict[int, tuple[int, int]] = {}
-    for r, rhs in rows:
-        for p, (q, qrhs) in basis.items():
-            if r & p:
-                r ^= q
-                rhs ^= qrhs
-        if not r:
-            continue
-        p = r & -r
-        for pk in list(basis):
-            qk, qkrhs = basis[pk]
-            if qk & p:
-                basis[pk] = (qk ^ r, qkrhs ^ rhs)
-        basis[p] = (r, rhs)
     return [basis[p] for p in sorted(basis)]
 
 

@@ -7,7 +7,7 @@ so a block's parity costs one table gather per source packet.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,8 +119,6 @@ class MdsCode(ErasureCodec):
     def __init__(self, n: int, k: int, generator: Gf256Matrix):
         super().__init__(n, k)
         self.generator = generator
-        self._sources = frozenset(range(1, k + 1))
-        self._block = frozenset(range(1, n + 1))
 
     @property
     def spec(self) -> CodeSpec:
@@ -158,32 +156,20 @@ class MdsCode(ErasureCodec):
             recovered[m] = row.tobytes()
         return 0
 
-    def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
-        """Systematic packets left missing after decoding that subset.
-        Indices below 1 are ignored; an index past n raises while a source is
-        missing, as in the xor codecs."""
-        idx = set(received_indices)
-        missing = self._sources.difference(idx)
-        if not missing:
-            return missing
-        if not idx <= self._block:
-            if max(idx) > self.n:
-                raise ValueError(f"parity index {max(idx) - self.k} out of range")
-            idx &= self._block
-        return frozenset() if len(idx) >= self.k else missing
+    def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
+        """Every lost source is recovered once k packets of the block arrived,
+        that is once as much parity arrived as sources were lost; none before."""
+        return frozenset() if len(parity) >= len(missing) else missing
 
-    def unrecovered_totals(self, erased: np.ndarray, n: int, weights: np.ndarray) -> list[int]:
+    def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
+                         weights: np.ndarray) -> list[int]:
         """Every lost source stays lost when fewer than k of the first k+j
         packets arrived, that is when more than j of them were lost, and
         none otherwise."""
-        k = self.k
-        if n > k:
-            self._check_parity_index(n - k)
-        lost = np.bitwise_count(erased & np.uint64((1 << k) - 1))
+        lost = np.bitwise_count(lost)
         weighted = lost * np.asarray(weights, dtype=np.int64)
-        parity = erased >> np.uint64(k)
-        return [int(weighted[lost + np.bitwise_count(parity & np.uint64((1 << j) - 1)) > j].sum())
-                for j in range(n - k + 1)]
+        return [int(weighted[lost + np.bitwise_count(dropped & np.uint64((1 << j) - 1)) > j].sum())
+                for j in range(p + 1)]
 
     def __repr__(self) -> str:
         return f"MdsCode(n={self.n}, k={self.k})"
@@ -195,8 +181,8 @@ def build_mds(n: int, k: int) -> MdsCode:
     Evaluation points are 0, 1, g, g^2, ... in index order; reducing the left
     k columns of the Vandermonde matrix to the identity yields [I | P].
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n > FIELD_SIZE:
         raise ValueError(f"n={n} exceeds the field size {FIELD_SIZE}")
     points = [0] + [gf_pow(2, j) for j in range(n - 1)]

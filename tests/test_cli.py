@@ -145,6 +145,12 @@ def test_plr_bad_shape_exits_2():
     assert result.exit_code == 2
 
 
+def test_plr_mc_mds_accepts_a_zero_parity_block():
+    result = run("plr", "--family", "mds", "--method", "mc", "--n", 4, "--k", 4, "--pe", 0.1)
+    assert result.exit_code == 0
+    assert "family: mds" in result.output
+
+
 def test_plr_mc_rejects_a_block_past_the_mask_word_before_building_the_code():
     result = run("plr", "--family", "fountain", "--n", 10**9, "--k", 4, "--pe", 0.1,
                  "--method", "mc", "--seed", 1)

@@ -65,7 +65,7 @@ def specs(draw):
     """A CodeSpec that build_codec accepts, for any of the three families."""
     family = draw(st.sampled_from(("mds", "fountain", "polar")))
     k = draw(st.integers(1, 40))
-    n = k + draw(st.integers(1 if family == "mds" else 0, 24))
+    n = k + draw(st.integers(0, 24))
     return CodeSpec(family=family, n=n, k=k, seed=draw(st.integers(0, 2**64 - 1)),
                     epsilon=draw(st.floats(0.01, 0.99)))
 

@@ -125,10 +125,9 @@ def test_reduce_echelon_canonical_under_row_order():
 
 
 def test_reduce_augmented_tracks_payload():
-    # x1 ^ x2 = 5, x2 = 3 gives x1 = 6
-    reduced = gf2.reduce_augmented([(0b11, 5), (0b10, 3)])
-    assert (0b01, 6) in reduced
-    assert (0b10, 3) in reduced
+    # x1 ^ x2 = 5, x2 = 3 gives x1 = 6; the payload rides above the two unknown bits
+    reduced = gf2.reduce_augmented([0b11 | 5 << 2, 0b10 | 3 << 2], 0b11)
+    assert reduced == [0b01 | 6 << 2, 0b10 | 3 << 2]
 
 
 def test_weight_one_rows_pin_a_simple_chain():

@@ -201,10 +201,21 @@ def test_decode_input_validation():
 
 
 def test_build_mds_parameter_limits():
-    with pytest.raises(ValueError):
-        build_mds(4, 4)
-    with pytest.raises(ValueError):
+    # k = n is a zero-parity block, as in every family: sources pass through
+    code = build_mds(4, 4)
+    assert code.parity_limit == 0
+    assert np.array_equal(code.generator.data, np.eye(4, dtype=np.uint8))
+    source = [b"ab", b"cd", b"ef", b"gh"]
+    assert code.encode(source, 0) == []
+    out = code.decode({1: b"ab", 3: b"ef"})
+    assert out.recovered == {1: b"ab", 3: b"ef"}
+    assert out.unrecoverable == frozenset({2, 4})
+    whole = dict(enumerate(source, start=1))
+    assert code.decode(whole).recovered == whole
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= n, got k=0, n=4$"):
         build_mds(4, 0)
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= n, got k=5, n=4$"):
+        build_mds(4, 5)
     with pytest.raises(ValueError):
         build_mds(257, 10)
     code = build_mds(256, 128)

@@ -1,13 +1,17 @@
 """Decodability oracle and decode: the mask-native elimination of the xor
-codecs against the simple remap paths, the MDS oracle against counting, MDS
-decode against the scaled-packet loops, decode against the oracle for every
-family, and the batched per-prefix loss totals against the oracle."""
+codecs against the simple remap paths, the packed elimination against the
+tuple form, the MDS oracle against counting, MDS decode against the
+scaled-packet loops, decode against the oracle for every family, the shared
+oracle front, and the batched per-prefix loss totals against the oracle."""
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import xor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +56,72 @@ def reference_unrecovered(codec, received_indices) -> frozenset[int]:
     return frozenset(m for m in missing if m not in pinned)
 
 
+def reference_reduce_augmented(rows) -> list[tuple[int, int]]:
+    """Elimination of (coefficient bits, rhs) rows, both halves xored
+    together, pivot the lowest coefficient bit; a row whose coefficients
+    cancel is dropped. Sorted by pivot."""
+    basis: dict[int, tuple[int, int]] = {}
+    for r, rhs in rows:
+        for p, (q, qrhs) in basis.items():
+            if r & p:
+                r ^= q
+                rhs ^= qrhs
+        if not r:
+            continue
+        p = r & -r
+        for pk in list(basis):
+            qk, qkrhs = basis[pk]
+            if qk & p:
+                basis[pk] = (qk ^ r, qkrhs ^ rhs)
+        basis[p] = (r, rhs)
+    return [basis[p] for p in sorted(basis)]
+
+
+def _gather(row: int, mask: int) -> int:
+    """The bits of row at the set bits of mask, packed low to high."""
+    out = b = 0
+    for t in range(mask.bit_length()):
+        if (mask >> t) & 1:
+            out |= ((row >> t) & 1) << b
+            b += 1
+    return out
+
+
+@st.composite
+def packed_rows(draw):
+    """(width, unknowns, rows): random rows, zero rows, duplicate rows and
+    rows whose unknown bits are the sum of earlier rows' while their
+    ride-along bits are not. unknowns is a mask of the width or -1."""
+    width = draw(st.integers(1, 16))
+    word = st.integers(0, (1 << width) - 1)
+    unknowns = draw(st.one_of(word, st.just(-1)))
+    rows: list[int] = []
+    for kind in draw(st.lists(st.sampled_from(("word", "zero", "dup", "cancel")), max_size=14)):
+        if kind == "zero":
+            rows.append(0)
+        elif kind == "word" or not rows:
+            rows.append(draw(word))
+        elif kind == "dup":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+            rows.append(reduce(xor, picked) & unknowns | draw(word) & ~unknowns)
+    return width, unknowns, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=packed_rows())
+def test_packed_elimination_matches_the_tuple_reference(case):
+    width, unknowns, rows = case
+    known = unknowns & ((1 << width) - 1)
+    ride = ~unknowns & ((1 << width) - 1)
+    want = reference_reduce_augmented([(_gather(r, known), _gather(r, ride)) for r in rows])
+    got = gf2.reduce_augmented(rows, unknowns)
+    assert [(_gather(r, known), _gather(r, ride)) for r in got] == want
+    if unknowns == -1:
+        assert gf2.reduce_echelon(rows) == got
+
+
 def reference_decode(codec, received) -> DecodeResult:
     """Simple path: remap each parity column into a dense space of the
     missing source packets and subtract each known source from every row
@@ -82,7 +152,7 @@ def reference_decode(codec, received) -> DecodeResult:
         equations.append((coeffs, rhs))
     recovered = dict(known)
     pinned = set()
-    for coeffs, rhs in gf2.reduce_augmented(equations):
+    for coeffs, rhs in reference_reduce_augmented(equations):
         if coeffs.bit_count() == 1:
             src = missing[coeffs.bit_length() - 1]
             recovered[src] = rhs.to_bytes(size, "little")
@@ -143,7 +213,7 @@ def codecs(draw, max_k: int = 40, families=("fountain", "polar", "explicit")):
     k = draw(st.integers(1, max_k))
     family = draw(st.sampled_from(families))
     if family == "mds":
-        return _mds(k + draw(st.integers(1, 12)), k)
+        return _mds(k + draw(st.integers(0, 12)), k)
     if family == "fountain":
         return FountainCode(k, draw(st.integers(0, 2**64 - 1)), n=draw(st.integers(k, k + 12)))
     if family == "polar":
@@ -228,26 +298,46 @@ def test_decode_matches_reference_decode(data):
             == _decoded(lambda r: reference(codec, r), received))
 
 
-def test_oracle_ignores_indices_below_one_and_checks_parity_range_once():
-    codec = ExplicitXorCodec(3, [0b011, 0b110])
-    assert codec.unrecovered_sources([0, -5, 1, 4]) == frozenset({3})
-    assert codec.unrecovered_sources([1, 2, 3, 99]) == frozenset()
-    try:
-        codec.unrecovered_sources([1, 2, 4, 6])
-    except ValueError as exc:
-        assert "parity index 3 out of range" in str(exc)
-    else:
-        raise AssertionError("expected ValueError for parity index 3 of 2")
-    mds = build_mds(8, 4)
-    assert mds.unrecovered_sources([0, -1, -2, 5]) == frozenset({1, 2, 3, 4})
-    assert mds.unrecovered_sources([0, 2, 6, 7, 8]) == frozenset()
-    assert mds.unrecovered_sources([1, 2, 3, 4, 99]) == frozenset()
-    try:
-        mds.unrecovered_sources([1, 2, 3, 99])
-    except ValueError as exc:
-        assert "parity index 95 out of range" in str(exc)
-    else:
-        raise AssertionError("expected ValueError for index 99 of an 8-packet block")
+# k = 4 source packets and a parity limit of 4 in every family
+FRONT_CODECS = {
+    "explicit": lambda: ExplicitXorCodec(4, [0b0011, 0b0110, 0b1100, 0b1001]),
+    "mds": lambda: build_mds(8, 4),
+    "fountain": lambda: FountainCode(4, 7, n=8),
+    "polar": lambda: polar_for_parity(4, 4, 0.05),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FRONT_CODECS))
+def test_oracle_ignores_indices_below_one_and_checks_parity_range_once(family):
+    codec = FRONT_CODECS[family]()
+    assert (codec.n, codec.k) == (8, 4)
+    # generators are read once
+    assert codec.unrecovered_sources(i for i in [0, -5, 1, 2, 3, 4]) == frozenset()
+    assert codec.unrecovered_sources(i for i in [0, -1, -2]) == frozenset({1, 2, 3, 4})
+    # nothing lost: an index past the block is not checked
+    assert codec.unrecovered_sources([1, 2, 3, 4, 99]) == frozenset()
+    for received in ([0, -1, 2, 3, 4, 5, 5, 6], [-3, 1, 8, 6, 6], [0, 4, 5, 6, 7, 8]):
+        assert (codec.unrecovered_sources(i for i in received)
+                == reference_unrecovered(codec, received))
+    for received, j in (([1, 2, 3, 99], 95), ([0, 2, 9, 5, 5], 5), ([-1, 12, 6], 8)):
+        with pytest.raises(ValueError, match=f"^parity index {j} out of range$"):
+            codec.unrecovered_sources(i for i in received)
+
+
+def test_columns_past_k_bits_decode_as_their_truncation():
+    # a column bit at k or above would collide with the selection bits of decode's plans
+    wide = ExplicitXorCodec(3, [0b1011, -1])
+    narrow = ExplicitXorCodec(3, [0b011, 0b111])
+    source = [b"\x01\x02", b"\x04\x08", b"\x10\x20"]
+    packets = dict(enumerate(source + narrow.encode(source, 2), start=1))
+    assert wide.encode(source, 2) == narrow.encode(source, 2)
+    for size in range(len(packets) + 1):
+        for picked in combinations(packets, size):
+            received = {i: packets[i] for i in picked}
+            result = wide.decode(received)
+            assert result == narrow.decode(received)
+            assert result.unrecoverable == wide.unrecovered_sources(picked)
+            assert all(pkt == source[i - 1] for i, pkt in result.recovered.items())
 
 
 def oracle_totals(codec, erased, weights, n: int) -> list[int]:
@@ -339,11 +429,8 @@ def test_batch_totals_at_the_edges_of_the_mask_word():
                                                                           weights, n)
 
 
-def test_batch_totals_check_the_parity_range():
+@pytest.mark.parametrize("n, j", [(6, 3), (2, -1)])
+def test_batch_totals_check_the_parity_range(n, j):
     for codec in (ExplicitXorCodec(3, [0b011, 0b110]), _mds(5, 3)):
-        try:
-            codec.unrecovered_totals(np.zeros(2, dtype=np.uint64), 6, np.ones(2, dtype=np.int64))
-        except ValueError as exc:
-            assert "parity index 3 out of range" in str(exc)
-        else:
-            raise AssertionError(f"expected ValueError for 3 parity packets of {codec!r}")
+        with pytest.raises(ValueError, match=f"^parity index {j} out of range$"):
+            codec.unrecovered_totals(np.zeros(2, dtype=np.uint64), n, np.ones(2, dtype=np.int64))
