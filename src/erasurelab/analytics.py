@@ -20,6 +20,7 @@ from .codec import FAMILIES, CodeSpec, build_codec
 DEFAULT_RECEIVERS = 50_000
 PARITY_SCAN_CAP = 128  # min_parity gives up past this many parity packets
 _BATCH = 1 << 18
+_INTERVAL_RTOL = 1e-9  # relative rounding error that collectable_packets forgives
 
 
 @dataclass(frozen=True)
@@ -150,23 +151,21 @@ def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
     Receiver r draws its erasures from a stream keyed by (seed, r), and a
     mask of fewer packets is a prefix of a mask of more, so every entry is
     bit-identical for any worker count and any batch split. Each batch of
-    receivers counts the distinct erasure patterns that lose a source in one
-    call of the codec's unrecovered_totals.
+    receivers passes its distinct erasure patterns, weighted by how often
+    each was drawn, to one call of the codec's unrecovered_totals, which
+    drops the patterns that lose no source.
     """
     if receivers < 1:
         raise ValueError("need at least one receiver")
     if workers < 1:
         raise ValueError("need at least one worker")
-    sources = np.uint64((1 << codec.k) - 1)
 
     def run_range(first: int, count: int) -> list[int]:
         totals = [0] * (n - codec.k + 1)
         for done in range(0, count, _BATCH):
             batch = rng.erasure_masks(seed, first + done, min(_BATCH, count - done), n, p_e)
             masks, cnts = np.unique(batch, return_counts=True)
-            lossy = (masks & sources) != 0  # a mask that loses no source adds nothing
-            totals = [a + b for a, b in zip(
-                totals, codec.unrecovered_totals(masks[lossy], n, cnts[lossy]))]
+            totals = [a + b for a, b in zip(totals, codec.unrecovered_totals(masks, n, cnts))]
         return totals
 
     bounds = [(receivers * w) // workers for w in range(workers + 1)]
@@ -195,18 +194,26 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
                      plr=lost / (receivers * k), method="mc", receivers=receivers, seed=seed)
 
 
-def _polar_plrs(k: int, p_e: float, receivers: int, seed: int, workers: int):
-    """(Monte-Carlo loss rate, block length) of the polar code at parity
-    p = 1, 2, ... while k+p fits rng.MAX_PACKETS, from one codec and one
-    _lost_totals pass per block length."""
+def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, workers: int):
+    """(p, loss rate, block length) for p = 1, 2, ... up to the family's
+    limit. MDS and fountain give their analytic rate and no block length, MDS
+    while k+p fits the 256 elements of GF(256); polar gives the Monte-Carlo
+    rate and the block it ran on while k+p fits rng.MAX_PACKETS, from one
+    codec and one _lost_totals pass per block length."""
+    if family != "polar":
+        analytic, top = {"mds": (plr_mds, min(PARITY_SCAN_CAP, 256 - k)),
+                         "fountain": (plr_fountain, PARITY_SCAN_CAP)}[family]
+        for p in range(1, top + 1):
+            yield p, analytic(k + p, k, p_e).plr, None
+        return
     p = 1
     while k + p <= rng.MAX_PACKETS:
         codec = build_codec(CodeSpec(family="polar", n=k + p, k=k, epsilon=p_e))
         block = codec.construction.block_length
         n = min(block, rng.MAX_PACKETS)
         totals = _lost_totals(codec, n, p_e, receivers, seed, workers)
-        for lost in totals[p:]:
-            yield lost / (receivers * k), block
+        for j in range(p, n - k + 1):
+            yield j, totals[j] / (receivers * k), block
         p = n - k + 1
 
 
@@ -215,17 +222,18 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
                workers: int = 1) -> ParityPlan | None:
     """Smallest parity count whose predicted loss rate meets the target.
 
+    With no parity the loss rate is p_e; past that, one scan of _parity_scan.
     MDS and fountain use their analytic expressions; polar has no closed form
-    and is measured empirically, on at most rng.MAX_PACKETS packets per block.
-    Residual loss shrinks as parity grows, so a linear scan from zero finds
-    the minimum. Polar parity columns go out in a fixed order and a
-    receiver's erasure mask of fewer packets is a prefix of its mask of more,
-    so for one block length the code at parity p is a prefix of the code at
-    any larger p: one codec and one Monte-Carlo pass per block length give
-    the loss rate of every p in it, each bit-identical to plr_empirical on
-    that p alone. Returns None when the target is unreachable within the
-    family's limits or PARITY_SCAN_CAP parity packets, and at once when every
-    packet is lost (p_e = 1).
+    and is measured empirically (method "mc"), on at most rng.MAX_PACKETS
+    packets per block. Residual loss shrinks as parity grows, so a linear
+    scan from zero finds the minimum. Polar parity columns go out in a fixed
+    order and a receiver's erasure mask of fewer packets is a prefix of its
+    mask of more, so for one block length the code at parity p is a prefix of
+    the code at any larger p: one codec and one Monte-Carlo pass per block
+    length give the loss rate of every p in it, each bit-identical to
+    plr_empirical on that p alone. Returns None when the target is
+    unreachable within the family's limits or PARITY_SCAN_CAP parity packets,
+    and at once when every packet is lost (p_e = 1).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -237,34 +245,13 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
         raise ValueError(f"loss target must be in (0, 1), got {plr_target}")
     if p_e == 1.0:
         return None
-
-    polar_plrs = _polar_plrs(k, p_e, receivers, seed, workers)  # runs only when read
-    for p in range(PARITY_SCAN_CAP + 1):
-        n = k + p
-        if p == 0:
-            # no parity means no decoder: residual loss is the channel itself
-            plr = p_e
-            method = "analytic"
-            block = None
-        elif family == "mds":
-            if n > 256:
-                return None
-            plr = plr_mds(n, k, p_e).plr
-            method = "analytic"
-            block = None
-        elif family == "fountain":
-            plr = plr_fountain(n, k, p_e).plr
-            method = "analytic"
-            block = None
-        else:
-            step = next(polar_plrs, None)
-            if step is None:  # k+p passed rng.MAX_PACKETS
-                return None
-            plr, block = step
-            method = "mc"
+    if p_e <= plr_target:
+        return ParityPlan(family=family, k=k, p=0, n=k, plr=p_e, method="analytic")
+    for p, plr, block in _parity_scan(family, k, p_e, receivers, seed, workers):
         if plr <= plr_target:
-            mc = method == "mc"
-            return ParityPlan(family=family, k=k, p=p, n=n, plr=plr, method=method,
+            mc = block is not None
+            return ParityPlan(family=family, k=k, p=p, n=k + p, plr=plr,
+                              method="mc" if mc else "analytic",
                               receivers=receivers if mc else None,
                               seed=seed if mc else None, block_length=block)
     return None
@@ -319,4 +306,5 @@ def collectable_packets(budget: float, packet_interval: float) -> int:
         raise ValueError("packet interval must be positive")
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    return int(budget / packet_interval) + 1
+    # 0.3 / 0.1 is 2.9999999999999996: a whole interval short by a rounding error
+    return math.floor(budget / packet_interval * (1 + _INTERVAL_RTOL)) + 1

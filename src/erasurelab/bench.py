@@ -52,6 +52,22 @@ class BenchReport:
         return (self.p * self.packet_size) / (self.encode.median_ns * 1e-9) / 1e6
 
 
+def _timed(call, want, what: str, iterations: int) -> Timing:
+    """Time `iterations` calls of `call` after DEFAULT_WARMUP untimed ones,
+    checking each result against `want`, the first result, which the caller
+    checked against the source."""
+    samples = []
+    for it in range(DEFAULT_WARMUP + iterations):
+        t0 = time.perf_counter_ns()
+        out = call()
+        t1 = time.perf_counter_ns()
+        if out != want:
+            raise AssertionError(f"{what} output changed between iterations")
+        if it >= DEFAULT_WARMUP:
+            samples.append(t1 - t0)
+    return Timing.of(samples)
+
+
 def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
                 erasure_count: int | None = None, iterations: int = MIN_ITERATIONS,
                 seed: int = 0) -> BenchReport:
@@ -86,31 +102,11 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
         raise AssertionError("MDS decode left packets unrecovered")
     decode_complete = not reference.unrecoverable
 
-    encode_ns: list[int] = []
-    for it in range(DEFAULT_WARMUP + iterations):
-        t0 = time.perf_counter_ns()
-        out = codec.encode(source, p)
-        t1 = time.perf_counter_ns()
-        if out != parity:
-            raise AssertionError("encode output changed between iterations")
-        if it >= DEFAULT_WARMUP:
-            encode_ns.append(t1 - t0)
-
-    decode_ns: list[int] = []
-    for it in range(DEFAULT_WARMUP + iterations):
-        t0 = time.perf_counter_ns()
-        result = codec.decode(received)
-        t1 = time.perf_counter_ns()
-        if result.recovered != reference.recovered:
-            raise AssertionError("decode output changed between iterations")
-        for i in lost:
-            if i in result.recovered and result.recovered[i] != source[i - 1]:
-                raise AssertionError(f"decoder returned a wrong packet for index {i}")
-        if it >= DEFAULT_WARMUP:
-            decode_ns.append(t1 - t0)
-
     return BenchReport(family=family, k=k, p=p, packet_size=packet_size,
                        erasure_count=erasure_count, iterations=iterations,
-                       encode=Timing.of(encode_ns), decode=Timing.of(decode_ns),
+                       encode=_timed(lambda: codec.encode(source, p), parity, "encode",
+                                     iterations),
+                       decode=_timed(lambda: codec.decode(received), reference, "decode",
+                                     iterations),
                        decode_complete=decode_complete,
                        model=op_count(family, k, p, packet_size=packet_size))

@@ -65,9 +65,10 @@ def normalize_received(received, limit: int) -> dict[int, bytes]:
 
 class ErasureCodec:
     """Systematic codec for one fixed block of n packets: k sources and
-    parity_limit = n - k parity packets. The base class owns the checks and
-    the split into sources and parity of every operation; families supply
-    only `_parity` for `encode`, `_solve` for `decode`, `_unsolved` for
+    parity_limit = n - k parity packets. The base class owns the checks, the
+    split into sources and parity of every operation, decode's packet block
+    and the drop of masks that lose no source; families supply only `_parity`
+    for `encode`, `_solve(block, missing, js)` for `decode`, `_unsolved` for
     `unrecovered_sources` and `_unsolved_totals` for `unrecovered_totals`.
 
     `spec` describes the codec so that `build_codec(c.spec)` rebuilds its
@@ -107,10 +108,17 @@ class ErasureCodec:
         for i in recovered:
             have |= 1 << (i - 1)
         missing = ~have & ((1 << k) - 1)
-        if not missing:
-            return DecodeResult(recovered=recovered, unrecoverable=frozenset())
-        parity = {i - k: packets[i] for i in sorted(packets) if i > k}
-        missing = self._solve(recovered, missing, parity)
+        js = [i - k for i in sorted(packets) if i > k]
+        if missing and js:
+            size = len(packets[k + js[0]])
+            zero = bytes(size)
+            # a bytearray, so writable: MDS solves in place in the parity rows
+            block = bytearray().join([recovered.get(i, zero) for i in range(1, k + 1)]
+                                     + [packets[k + j] for j in js])
+            block = np.frombuffer(block, dtype=np.uint8).reshape(k + len(js), size)
+            for i, row in self._solve(block, missing, js).items():
+                recovered[i] = row.tobytes()
+                missing ^= 1 << (i - 1)
         return DecodeResult(recovered=dict(sorted(recovered.items())),
                             unrecoverable=frozenset(gf2.ones(missing)))
 
@@ -118,11 +126,11 @@ class ErasureCodec:
         """Parity packets 1..p of checked source packets of `size` bytes."""
         raise NotImplementedError
 
-    def _solve(self, recovered: dict[int, bytes], missing: int,
-               parity: dict[int, bytes]) -> int:
-        """Add the sources it recovers to `recovered` and return the mask of
-        those still missing. `missing` has bit t-1 set for each lost source t;
-        `parity` maps parity index j to its packet, in index order."""
+    def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
+        """The lost sources it recovers, as {source index: row}. `block` is a
+        writable (k + len(js), size) uint8 array: row t-1 is source t, zeros
+        where lost, then the received parity packets js, not empty, in index
+        order. `missing`, not zero, has bit t-1 set for each lost source t."""
         raise NotImplementedError
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
@@ -132,8 +140,8 @@ class ErasureCodec:
 
     def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
                          weights: np.ndarray) -> list[int]:
-        """unrecovered_totals for p = n - k, with each mask split into its
-        source word `lost` and its parity word `dropped`."""
+        """unrecovered_totals for p = n - k, with each mask that loses a source
+        split into its source word `lost` and its parity word `dropped`."""
         raise NotImplementedError
 
     def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
@@ -160,8 +168,11 @@ class ErasureCodec:
         k = self.k
         if n != k:  # n < k raises too
             self._check_parity_index(n - k)
-        return self._unsolved_totals(erased & np.uint64((1 << k) - 1), erased >> np.uint64(k),
-                                     n - k, weights)
+        sources = np.uint64((1 << k) - 1)
+        lossy = (erased & sources) != 0  # a mask that loses no source adds nothing
+        erased = erased[lossy]
+        return self._unsolved_totals(erased & sources, erased >> np.uint64(k), n - k,
+                                     weights[lossy])
 
 
 class ExplicitXorCodec(ErasureCodec):
@@ -185,37 +196,25 @@ class ExplicitXorCodec(ErasureCodec):
         ints = [int.from_bytes(s, "little") for s in source]
         return [gf2.xor_rows(col, ints).to_bytes(size, "little") for col in self.masks[:p]]
 
-    def _solve(self, recovered: dict[int, bytes], missing: int,
-               parity: dict[int, bytes]) -> int:
+    def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """Gaussian elimination over the received parity equations with the
         missing sources as the unknowns, in the codec's own bit positions as
         in _unsolved. Equation e is its column plus the selection bit k + e,
-        so the bits of a unit row outside `missing` are a plan: the received
-        sources its columns cover and the received parities it sums."""
+        so the bits of a unit row outside `missing` are a plan: the rows of
+        `block` to xor, the received sources its columns cover and the
+        received parities it sums."""
         k = self.k
-        js = list(parity)
         masks = self.masks
         rows = gf2.reduce_augmented([masks[j - 1] | 1 << (k + e) for e, j in enumerate(js)],
                                     missing)
         plans = [(unit, r ^ unit) for r in rows if (unit := r & missing).bit_count() == 1]
-        if not plans:
-            return missing
-        size = len(parity[js[0]])
-        n = k + len(js)
-        zero = bytes(size)
-        packets = np.frombuffer(b"".join([recovered.get(i, zero) for i in range(1, k + 1)]
-                                         + [parity[j] for j in js]),
-                                dtype=np.uint8).reshape(n, size)
+        n = len(block)
         width = (n + 7) // 8
-        # row t of packets and of a plan's selection: source t+1 for t < k
-        # (zeros where lost), then parity js[t-k]
-        picks = b"".join(pick.to_bytes(width, "little") for _, pick in plans)
-        picks = np.unpackbits(np.frombuffer(picks, dtype=np.uint8).reshape(len(plans), width),
+        picks = np.array([pick.to_bytes(width, "little") for _, pick in plans], dtype=f"S{width}")
+        picks = np.unpackbits(picks.view(np.uint8).reshape(len(plans), width),
                               axis=1, count=n, bitorder="little").view(bool)
-        for (unit, _), pick in zip(plans, picks):
-            recovered[unit.bit_length()] = np.bitwise_xor.reduce(packets[pick]).tobytes()
-            missing ^= unit
-        return missing
+        return {unit.bit_length(): np.bitwise_xor.reduce(block[pick])
+                for (unit, _), pick in zip(plans, picks)}
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
         m = 0

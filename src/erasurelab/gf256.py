@@ -131,30 +131,25 @@ class MdsCode(ErasureCodec):
                          np.zeros((p, size), dtype=np.uint8))
         return [row.tobytes() for row in parity]
 
-    def _solve(self, recovered: dict[int, bytes], missing: int,
-               parity: dict[int, bytes]) -> int:
+    def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """With e sources lost and at least e parity packets, solve for the
         lost sources against the lowest-numbered e parity packets; with
         fewer, recover nothing."""
+        k = self.k
         lost = gf2.ones(missing)
-        js = list(parity)[:len(lost)]
-        if len(js) < len(lost):
-            return missing
-        g = self.generator.data
-        cols = [self.k + j - 1 for j in js]
-        size = len(parity[js[0]])
-        src = np.frombuffer(b"".join(recovered.values()), dtype=np.uint8)
-        b = np.frombuffer(bytearray(b"".join(parity[j] for j in js)), dtype=np.uint8)
-        # row j of b: parity j minus the known systematic contributions
-        b = combine(g[np.ix_([i - 1 for i in recovered], cols)].T,
-                    src.reshape(len(recovered), size), b.reshape(len(js), size))
-        a_inv = Gf256Matrix(g[np.ix_([m - 1 for m in lost], cols)].T).invert()
+        e = len(lost)
+        if len(js) < e:
+            return {}
+        # row c: how parity js[c] combines the k sources (a fancy-indexed copy)
+        coeffs = self.generator.data[:k, [k + j - 1 for j in js[:e]]].T
+        rows = [m - 1 for m in lost]
+        a_inv = Gf256Matrix(coeffs[:, rows]).invert()
         if a_inv is None:
             raise AssertionError("MDS submatrix unexpectedly singular")
-        out = combine(a_inv.data, b, np.zeros_like(b))
-        for m, row in zip(lost, out):
-            recovered[m] = row.tobytes()
-        return 0
+        coeffs[:, rows] = 0  # the lost rows of block are zeros; combine skips zero columns
+        # parity row c minus the known systematic contributions, in place
+        b = combine(coeffs, block[:k], block[k:k + e])
+        return dict(zip(lost, combine(a_inv.data, b, np.zeros_like(b))))
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
         """Every lost source is recovered once k packets of the block arrived,

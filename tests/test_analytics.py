@@ -198,6 +198,36 @@ def test_min_parity_polar_equals_the_per_parity_scan(k, p_e, target, receivers, 
     assert got == want
 
 
+def reference_min_parity_analytic(family: str, k: int, p_e: float,
+                                  target: float) -> ParityPlan | None:
+    """The per-p scan for MDS and fountain: the channel rate at p = 0, then
+    the analytic rate at each n, MDS while n fits GF(256)."""
+    plr_of = {"mds": plr_mds, "fountain": plr_fountain}[family]
+    for p in range(PARITY_SCAN_CAP + 1):
+        n = k + p
+        if family == "mds" and n > 256:
+            return None
+        plr = p_e if p == 0 else plr_of(n, k, p_e).plr
+        if plr <= target:
+            return ParityPlan(family=family, k=k, p=p, n=n, plr=plr, method="analytic")
+    return None
+
+
+@pytest.mark.parametrize("family, k, p_e, target, p", [
+    ("mds", 10, 0.05, 0.05, 0),  # the channel rate meets the target
+    ("fountain", 10, 0.05, 0.05, 0),
+    ("mds", 250, 0.01, 1e-3, 6),  # all 6 parity packets that the 256-packet cap leaves
+    ("mds", 250, 0.002, 1e-8, None),  # p=7 would meet it, past the cap
+    ("fountain", 250, 0.002, 1e-8, 20),  # no cap
+    ("mds", 200, 0.5, 1e-12, None),  # unreachable
+    ("fountain", 20, 0.1, 1e-6, 24),  # more than 10 parity packets
+])
+def test_min_parity_analytic_equals_the_per_parity_scan(family, k, p_e, target, p):
+    want = reference_min_parity_analytic(family, k, p_e, target)
+    assert (want.p if want else None) == p
+    assert min_parity(family, k, p_e, target) == want
+
+
 def test_min_parity_checks_receivers_and_workers_only_once_monte_carlo_is_reached():
     plan = min_parity("polar", 8, 0.01, 0.05, receivers=0, workers=0)
     assert plan == ParityPlan(family="polar", k=8, p=0, n=8, plr=0.01, method="analytic")
@@ -341,3 +371,10 @@ def test_collectable_packets_reference_point():
     assert collectable_packets(0.0, 0.0012) == 1
     with pytest.raises(ValueError):
         collectable_packets(0.1, 0.0)
+
+
+@pytest.mark.parametrize("budget, interval, packets", [(0.3, 0.1, 4), (0.7, 0.1, 8),
+                                                        (0.6, 0.2, 4)])
+def test_collectable_packets_counts_the_packet_at_an_exact_multiple(budget, interval, packets):
+    # 0.3 / 0.1 and 0.6 / 0.2 are 2.9999999999999996, 0.7 / 0.1 is 6.999999999999999
+    assert collectable_packets(budget, interval) == packets

@@ -60,6 +60,21 @@ def test_zero_length_packets_encode_and_decode(family):
     assert out.recovered == {i: b"" for i in range(1, 5) if i not in lost}
 
 
+@pytest.mark.parametrize("family", sorted(CODECS))
+def test_decode_without_parity_returns_exactly_the_received_sources(family):
+    out = CODECS[family]().decode({4: b"gh", 2: b"cd"})
+    assert list(out.recovered.items()) == [(2, b"cd"), (4, b"gh")]
+    assert out.unrecoverable == {1, 3}
+
+
+def test_mds_decode_with_fewer_parity_than_losses_recovers_nothing():
+    codec = CODECS["mds"]()
+    parity = codec.encode(SOURCE, 4)
+    out = codec.decode({2: b"cd", 5: parity[0], 7: parity[2]})
+    assert out.recovered == {2: b"cd"}
+    assert out.unrecoverable == {1, 3, 4}
+
+
 @st.composite
 def specs(draw):
     """A CodeSpec that build_codec accepts, for any of the three families."""
