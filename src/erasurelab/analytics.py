@@ -243,6 +243,10 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
         raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
     if not 0.0 < plr_target < 1.0:
         raise ValueError(f"loss target must be in (0, 1), got {plr_target}")
+    if receivers < 1:
+        raise ValueError("need at least one receiver")
+    if workers < 1:
+        raise ValueError("need at least one worker")
     if p_e == 1.0:
         return None
     if p_e <= plr_target:

@@ -221,11 +221,12 @@ class ExplicitXorCodec(ErasureCodec):
         for i in missing:
             m |= 1 << (i - 1)
         masks = self.masks
+        pinned = 0
         # rows keep the codec's own bit positions; a weight-1 basis row pins its source
         for row in gf2.reduce_echelon([masks[j - 1] & m for j in parity]):
             if row.bit_count() == 1:
-                m ^= row
-        return frozenset(gf2.ones(m))
+                pinned |= row
+        return frozenset(i for i in missing if not pinned >> (i - 1) & 1) if pinned else missing
 
     def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
                          weights: np.ndarray) -> list[int]:

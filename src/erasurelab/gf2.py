@@ -4,7 +4,7 @@ Rows are stored as Python ints, bit j of a row is column j. Addition is xor,
 so row operations cost one machine word operation per word of packed bits.
 All operations are pure functions on immutable matrices. `reduce_echelon`
 and `reduce_augmented` share one elimination; `unsolved_totals` runs it on
-many systems at once, one uint64 row per system.
+many systems at once, in rank slots, the systems sorted by unknown count.
 """
 from __future__ import annotations
 
@@ -155,34 +155,37 @@ def unsolved_totals(columns: Sequence[int], unknowns: np.ndarray, dropped: np.nd
 
     This is the weight-1 row count of reduce_echelon, run on a batch. Equations
     go in one at a time, as in on-the-fly Gaussian elimination (Bioglio,
-    Grangetto and Gaeta, IEEE Comm. Letters 2009), and each system keeps its
-    reduced basis in row b of a (width, chunk) array, b being the pivot bit.
-    A row of weight 1 is never changed again, so each one counts as solved
-    from the column that last changed it on.
+    Grangetto and Gaeta, IEEE Comm. Letters 2009). Slot s of a system's basis
+    holds its s-th pivot row, next to that row's pivot bit; sorted by unknown
+    count, a chunk of systems needs only as many slots as its heaviest system
+    has unknowns. A row of weight 1 is never changed again, so each one counts
+    as solved from the column that last changed it on.
     """
     weights = np.asarray(weights, dtype=np.int64)
-    totals = [0] * (len(columns) + 1)
-    for start in range(0, len(unknowns), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        chunk = _unsolved_chunk(columns, unknowns[part], dropped[part], weights[part])
-        totals = [a + b for a, b in zip(totals, chunk)]
-    return totals
+    counts = np.bitwise_count(unknowns)
+    order = np.argsort(counts, kind="stable")
+    solved = np.zeros(len(columns) + 1, dtype=np.int64)  # weight newly solved per column
+    for start in range(0, len(order), _CHUNK):
+        part = order[start:start + _CHUNK]
+        _solve_chunk(columns, unknowns[part], dropped[part], weights[part], solved)
+    return (int(np.dot(counts, weights)) - np.cumsum(solved)).tolist()
 
 
-def _unsolved_chunk(columns: Sequence[int], unknowns: np.ndarray, dropped: np.ndarray,
-                    weights: np.ndarray) -> list[int]:
+def _solve_chunk(columns: Sequence[int], unknowns: np.ndarray, dropped: np.ndarray,
+                 weights: np.ndarray, solved: np.ndarray) -> None:
+    """Add to solved[j] the weight of the unknowns that column j solves."""
     one = np.uint64(1)
-    width = int(np.bitwise_or.reduce(unknowns, initial=0)).bit_length()
-    shifts = np.arange(width, dtype=np.uint64)[:, None]
-    basis = np.zeros((width, len(unknowns)), dtype=np.uint64)
+    basis = np.zeros((int(np.bitwise_count(unknowns).max()), len(unknowns)), dtype=np.uint64)
+    pivots = np.zeros_like(basis)  # pivot bit of each slot's row, 0 while the slot is empty
     changed = np.zeros(basis.shape, dtype=np.uint8)  # columns read when a row last changed
-    top = 0  # rows top and above are empty in every system
+    rank = np.zeros(len(unknowns), dtype=np.intp)
+    top = 0  # slots top and above are empty in every system
     for j, col in enumerate(columns, 1):
         r = unknowns & np.uint64(col)
         r *= ~(dropped >> np.uint64(j - 1)) & one
         held = basis[:top]
         # a basis row is zero at every other pivot, so the rows reduce r independently
-        r ^= np.bitwise_xor.reduce(held * ((r >> shifts[:top]) & one), axis=0)
+        r ^= np.bitwise_xor.reduce(held * ((r & pivots[:top]) != 0), axis=0)
         low = r & -r
         if not low.any():
             continue
@@ -190,11 +193,9 @@ def _unsolved_chunk(columns: Sequence[int], unknowns: np.ndarray, dropped: np.nd
         held ^= r * hit
         np.maximum(changed[:top], hit.view(np.uint8) * np.uint8(j), out=changed[:top])
         new = low.nonzero()[0]
-        pivot = np.bitwise_count(low[new] - one)
-        basis[pivot, new] = r[new]
-        changed[pivot, new] = j
-        top = max(top, int(np.bitwise_or.reduce(low)).bit_length())
-    solved = np.zeros(len(columns) + 1, dtype=np.int64)  # weight newly solved per column
-    for b, unit in enumerate(basis == one << shifts):
-        np.add.at(solved, changed[b, unit], weights[unit])
-    return (int(np.dot(np.bitwise_count(unknowns), weights)) - np.cumsum(solved)).tolist()
+        slot = rank[new]
+        basis[slot, new], pivots[slot, new], changed[slot, new] = r[new], low[new], j
+        rank[new] += 1
+        top = max(top, int(slot.max()) + 1)
+    unit = (basis == pivots) & (pivots != 0)
+    np.add.at(solved, changed[unit], np.broadcast_to(weights, basis.shape)[unit])

@@ -97,21 +97,18 @@ def simulate_incremental(codec, pattern_set: PatternSet, rounds: int | None = No
         raise ValueError(f"rounds must be at least 0, got {rounds}")
     if rounds > limit:
         raise ValueError(f"rounds {rounds} exceed the parity limit {limit}")
-    k = codec.k
+    sources = frozenset(range(1, codec.k + 1))
+    parity = list(range(codec.k + 1, codec.k + rounds + 1))
     lost_sizes = []
     recovered = []
     for pattern in pattern_set.patterns:
-        lost = pattern.lost
-        survivors = [i for i in range(1, k + 1) if i not in lost]
+        size = len(pattern.lost)
+        survivors = list(sources - pattern.lost)
         row = [0]  # round 0 brings no parity, so it repairs nothing
         for t in range(1, rounds + 1):
-            if row[-1] == len(lost):
-                row.append(len(lost))
-                continue
-            received = survivors + [k + j for j in range(1, t + 1)]
-            unrec = codec.unrecovered_sources(received)
-            row.append(len(lost) - len(unrec))
-        lost_sizes.append(len(lost))
+            row.append(size if row[-1] == size
+                       else size - len(codec.unrecovered_sources(survivors + parity[:t])))
+        lost_sizes.append(size)
         recovered.append(tuple(row))
     return RecoveryTable(rounds=rounds, lost_sizes=tuple(lost_sizes), recovered=tuple(recovered))
 

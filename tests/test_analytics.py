@@ -228,21 +228,21 @@ def test_min_parity_analytic_equals_the_per_parity_scan(family, k, p_e, target, 
     assert min_parity(family, k, p_e, target) == want
 
 
-def test_min_parity_checks_receivers_and_workers_only_once_monte_carlo_is_reached():
-    plan = min_parity("polar", 8, 0.01, 0.05, receivers=0, workers=0)
-    assert plan == ParityPlan(family="polar", k=8, p=0, n=8, plr=0.01, method="analytic")
-    with pytest.raises(ValueError, match="need at least one receiver"):
-        min_parity("polar", 8, 0.05, 1e-3, receivers=0)
-    with pytest.raises(ValueError, match="need at least one worker"):
-        min_parity("polar", 8, 0.05, 1e-3, workers=0)
-    # past the 64-packet cap the scan stops before any Monte-Carlo run
-    assert min_parity("polar", 64, 0.05, 1e-3, receivers=0, workers=0) is None
+@pytest.mark.parametrize("family", ["mds", "fountain", "polar"])
+def test_min_parity_checks_receivers_and_workers_up_front(family):
+    # p_e <= target, p_e = 1, an analytic family and the 64-packet cap all
+    # return before any Monte-Carlo run; the checks come first all the same
+    for k, p_e, target in ((8, 0.01, 0.05), (8, 1.0, 1e-6), (8, 0.05, 1e-3), (64, 0.05, 1e-3)):
+        with pytest.raises(ValueError, match="^need at least one receiver$"):
+            min_parity(family, k, p_e, target, receivers=0)
+        with pytest.raises(ValueError, match="^need at least one worker$"):
+            min_parity(family, k, p_e, target, workers=0)
 
 
 @pytest.mark.parametrize("family", ["mds", "fountain", "polar"])
 def test_min_parity_returns_none_when_every_packet_is_lost(family):
     assert min_parity(family, 8, 1.0, 0.5) is None
-    assert min_parity(family, 8, 1.0, 1e-6, receivers=0) is None
+    assert min_parity(family, 8, 1.0, 1e-6, receivers=1) is None
 
 
 def test_min_parity_unreachable_returns_none():
@@ -252,7 +252,7 @@ def test_min_parity_unreachable_returns_none():
 def test_min_parity_past_the_mds_field_size_still_plans_no_parity():
     # k=300 fits no MDS block, but a target at the channel rate needs no parity
     for family in ("mds", "fountain", "polar"):
-        plan = min_parity(family, 300, 0.01, 0.05, receivers=0, workers=0)
+        plan = min_parity(family, 300, 0.01, 0.05)
         assert (plan.p, plan.n, plan.plr, plan.method) == (0, 300, 0.01, "analytic")
     assert min_parity("mds", 300, 0.05, 0.01) is None
     assert min_parity("mds", 256, 0.05, 0.01) is None

@@ -224,6 +224,20 @@ def test_multicast_builds_one_polar_codec_for_fountain_and_polar(monkeypatch):
     assert calls == [(6, 2, 0.1)]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("pe, flag, message", [
+    (0.05, "--workers", "need at least one worker"),
+    (0.05, "--receivers", "need at least one receiver"),
+    (1e-4, "--receivers", "need at least one receiver"),
+])
+def test_plan_rejects_zero_receivers_or_workers_for_every_family(family, pe, flag, message):
+    result = run("plan", "--family", family, "--k", 10, "--pe", pe, "--plr-target", 1e-3,
+                 flag, 0)
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "family:" not in result.output
+
+
 def test_multicast_rejects_unknown_family():
     result = run("multicast", "--k", 8, "--pe", 0.05, "--emax", 2,
                  "--families", "mds,ldpc")

@@ -13,7 +13,30 @@ from erasurelab import (
     weighted_cdf,
 )
 from erasurelab.codec import ExplicitXorCodec
-from erasurelab.polar import PolarCodec, construct_systematic
+from erasurelab.multicast import RecoveryTable
+from erasurelab.polar import PolarCodec, construct_systematic, polar_for_parity
+
+
+def reference_simulate_incremental(codec, pattern_set, rounds: int) -> RecoveryTable:
+    """The plain repair loop: each round rebuilds the received indices from
+    scratch and asks the oracle until the pattern is repaired."""
+    k = codec.k
+    lost_sizes = []
+    recovered = []
+    for pattern in pattern_set.patterns:
+        lost = pattern.lost
+        survivors = [i for i in range(1, k + 1) if i not in lost]
+        row = [0]
+        for t in range(1, rounds + 1):
+            if row[-1] == len(lost):
+                row.append(len(lost))
+                continue
+            received = survivors + [k + j for j in range(1, t + 1)]
+            unrec = codec.unrecovered_sources(received)
+            row.append(len(lost) - len(unrec))
+        lost_sizes.append(len(lost))
+        recovered.append(tuple(row))
+    return RecoveryTable(rounds=rounds, lost_sizes=tuple(lost_sizes), recovered=tuple(recovered))
 
 
 def test_pattern_counts():
@@ -156,3 +179,17 @@ def test_explicit_codec_permutation_changes_curve():
                                     patterns).points)
     # moving the all-ones column away from the front hurts early repair
     assert auc_designed > auc_shuffled
+
+
+@pytest.mark.parametrize("codec", [
+    build_mds(12, 8),
+    FountainCode(8, seed=4, n=14),
+    polar_for_parity(8, 8, 0.05),
+    # zero and repeated columns: equations that repair nothing new
+    ExplicitXorCodec(8, [0, 0b1011, 0b1011, 0, 0xFF, 0b1011, 0x80]),
+], ids=["mds", "fountain", "polar", "explicit"])
+def test_simulation_matches_the_reference_loop(codec):
+    patterns = enumerate_patterns(8, 3, 0.05)
+    for rounds in (0, 1, codec.parity_limit):
+        assert (simulate_incremental(codec, patterns, rounds=rounds)
+                == reference_simulate_incremental(codec, patterns, rounds))

@@ -434,3 +434,63 @@ def test_batch_totals_check_the_parity_range(n, j):
     for codec in (ExplicitXorCodec(3, [0b011, 0b110]), _mds(5, 3)):
         with pytest.raises(ValueError, match=f"^parity index {j} out of range$"):
             codec.unrecovered_totals(np.zeros(2, dtype=np.uint64), n, np.ones(2, dtype=np.int64))
+
+
+def test_batch_totals_when_heavy_and_light_systems_interleave():
+    # the kernel sorts systems by unknown count before it cuts them into chunks;
+    # distinct weights catch a weight that does not follow its system
+    codec = polar_for_parity(12, 4, 0.05)
+    gen = random.Random(11)
+    erased = []
+    for i in range(gf2._CHUNK + 700):
+        light = gen.getrandbits(16) & gen.getrandbits(16) & gen.getrandbits(16)
+        erased.append(light if i % 2 else gen.getrandbits(16) | gen.getrandbits(16))
+    weights = list(range(1, len(erased) + 1))
+    assert _batch_totals(codec, erased, weights, 16) == oracle_totals(codec, erased, weights, 16)
+
+
+def reference_unsolved_totals(columns, unknowns, dropped, weights) -> list[int]:
+    """gf2.unsolved_totals one system and one prefix at a time, through
+    reduce_echelon."""
+    totals = []
+    for j in range(len(columns) + 1):
+        total = 0
+        for u, d, w in zip(map(int, unknowns), map(int, dropped), map(int, weights)):
+            rows = [c & u for c_idx, c in enumerate(columns[:j]) if not d >> c_idx & 1]
+            solved = sum(1 for r in gf2.reduce_echelon(rows) if r.bit_count() == 1)
+            total += w * (u.bit_count() - solved)
+        totals.append(total)
+    return totals
+
+
+def _words(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
+def test_unsolved_totals_of_an_empty_batch():
+    empty = _words([])
+    assert gf2.unsolved_totals([3, 5], empty, empty, np.array([], dtype=np.int64)) == [0, 0, 0]
+    assert gf2.unsolved_totals([], empty, empty, np.array([], dtype=np.int64)) == [0]
+
+
+def test_unsolved_totals_of_systems_with_no_unknowns():
+    zeros = _words([0, 0, 0])
+    assert gf2.unsolved_totals([1, 3, 7], zeros, _words([0, 5, 7]), [2, 3, 4]) == [0] * 4
+
+
+def test_unsolved_totals_when_every_column_is_dropped():
+    unknowns = _words([0b1, 0b1011, 0b111])
+    weights = [5, 7, 11]
+    totals = gf2.unsolved_totals([1, 2, 3, 8], unknowns, _words([0b1111] * 3), weights)
+    assert totals == [5 + 3 * 7 + 3 * 11] * 5
+
+
+def test_unsolved_totals_of_64_unknown_systems():
+    gen = random.Random(17)
+    full = (1 << 64) - 1
+    columns = [gen.getrandbits(64) for _ in range(62)] + [1 << 63, full]
+    unknowns = [full, full, 1, 1 << 63, full ^ 1, gen.getrandbits(64)]
+    dropped = [0, gen.getrandbits(64) & gen.getrandbits(64), 0, full, 0, gen.getrandbits(64)]
+    weights = [3, 1 << 40, 9, 2, 5, 6]
+    assert (gf2.unsolved_totals(columns, _words(unknowns), _words(dropped), weights)
+            == reference_unsolved_totals(columns, unknowns, dropped, weights))
