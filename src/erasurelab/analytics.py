@@ -38,14 +38,6 @@ class PlrReport:
 
 
 @dataclass(frozen=True)
-class ErasurePattern:
-    """A set of lost packet indices with its occurrence probability."""
-
-    lost: frozenset[int]
-    probability: float
-
-
-@dataclass(frozen=True)
 class OpCount:
     """Arithmetic cost model for producing parity packets."""
 
@@ -74,10 +66,6 @@ class ParityPlan:
     block_length: int | None = None
 
 
-def _binomial_pmf(n: int, e: int, p: float) -> float:
-    return math.comb(n, e) * p**e * (1.0 - p) ** (n - e)
-
-
 def systematic_erasures_pmf(e: int, i: int, n: int, k: int) -> float:
     """Probability that i of e block erasures hit the k systematic packets.
 
@@ -102,16 +90,20 @@ def _validate_block(n: int, k: int, p_e: float) -> None:
 
 def _analytic_plr(n: int, k: int, p_e: float, failure_prob: Callable[[int], float]) -> float:
     """Shared mixture: erasure count e is binomial, failure_prob(e) is the
-    chance decoding cannot repair, and the hypergeometric split says how many
-    of the erasures were systematic."""
+    chance decoding cannot repair, and the hypergeometric split
+    C(k,i)*C(n-k,e-i)/C(n,e) says how many of the erasures, i, were
+    systematic."""
+    cn = [math.comb(n, e) for e in range(n + 1)]
+    ck = [math.comb(k, i) for i in range(k + 1)]
+    cr = [math.comb(n - k, j) for j in range(n - k + 1)]
     terms = []
-    for i in range(1, k + 1):
-        for e in range(i, min(n, n - k + i) + 1):
-            fail = failure_prob(e)
-            if fail == 0.0:
-                continue
-            terms.append(i * fail * _binomial_pmf(n, e, p_e)
-                         * systematic_erasures_pmf(e, i, n, k))
+    for e in range(1, n + 1):
+        fail = failure_prob(e)
+        if fail == 0.0:
+            continue
+        pmf = cn[e] * p_e**e * (1.0 - p_e) ** (n - e)
+        for i in range(max(1, e - (n - k)), min(e, k) + 1):
+            terms.append(i * fail * pmf * (ck[i] * cr[e - i] / cn[e]))
     return math.fsum(terms) / k
 
 

@@ -2,9 +2,10 @@
 
 Rows are stored as Python ints, bit j of a row is column j. Addition is xor,
 so row operations cost one machine word operation per word of packed bits.
-All operations are pure functions on immutable matrices. `reduce_echelon`
-and `reduce_augmented` share one elimination; `unsolved_totals` runs it on
-many systems at once, in rank slots, the systems sorted by unknown count.
+`kernel_entry` reads the polar kernel power, `ones` walks the set bits of a
+row and `xor_rows` sums the rows a mask selects. `reduce_echelon` and
+`reduce_augmented` share one scalar elimination; `unsolved_totals` runs it
+on many systems at once, in rank slots, the systems sorted by unknown count.
 """
 from __future__ import annotations
 
@@ -12,82 +13,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-KERNEL_POWER_CAP = 16
 _CHUNK = 1 << 12  # systems per elimination pass: a 2 MiB basis at 64 unknowns
 
 
-class BitMatrix:
-    """Dense GF(2) matrix. Immutable after construction."""
-
-    __slots__ = ("rows", "cols", "_data")
-
-    def __init__(self, rows: int, cols: int, data: Iterable[int]):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix must have at least one row and one column")
-        packed = tuple(r & ((1 << cols) - 1) for r in data)
-        if len(packed) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(packed)}")
-        self.rows = rows
-        self.cols = cols
-        self._data = packed
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    def row(self, i: int) -> int:
-        """Packed row i (0-based)."""
-        return self._data[i]
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BitMatrix":
-        """Submatrix with the given 0-based row and column indices, in order."""
-        data = []
-        for i in row_idx:
-            src = self._data[i]
-            data.append(sum((1 << b) for b, j in enumerate(col_idx) if (src >> j) & 1))
-        return BitMatrix(len(row_idx), len(col_idx), data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
-
-
-def kernel_power(m: int) -> BitMatrix:
-    """m-fold Kronecker power of the 2x2 lower-triangular binary kernel.
-
-    Row r of the next power is [r, 0] on top and [r, r] below, so the matrix
-    doubles in both dimensions per level. Capped to keep memory bounded.
-    """
-    if m < 0:
-        raise ValueError("level count must be non-negative")
-    if m > KERNEL_POWER_CAP:
-        raise ValueError(f"level count capped at {KERNEL_POWER_CAP}")
-    rows = [1]
-    for _ in range(m):
-        half = len(rows)
-        rows = rows + [r | (r << half) for r in rows]
-    return BitMatrix(len(rows), len(rows), rows)
-
-
 def kernel_entry(row: int, col: int) -> int:
-    """Entry (row, col), 0-based, of any kernel power large enough to hold it.
+    """Entry (row, col), 0-based, of any Kronecker power of the 2x2
+    lower-triangular kernel [[1, 0], [1, 1]] large enough to hold it.
 
     The Kronecker structure makes the entry 1 exactly when the column's bit
     pattern is a subset of the row's.
     """
     return 1 if (col & ~row) == 0 else 0
-
-
-def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2)."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
-    brows = [b.row(i) for i in range(b.rows)]
-    return BitMatrix(a.rows, b.cols, [xor_rows(a.row(i), brows) for i in range(a.rows)])
 
 
 def ones(mask: int) -> list[int]:

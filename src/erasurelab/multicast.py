@@ -13,9 +13,15 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .analytics import ErasurePattern
-
 PATTERN_CAP = 10**6
+
+
+@dataclass(frozen=True)
+class ErasurePattern:
+    """A set of lost packet indices with its occurrence probability."""
+
+    lost: frozenset[int]
+    probability: float
 
 
 @dataclass(frozen=True)

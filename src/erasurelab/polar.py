@@ -13,9 +13,8 @@ from typing import Sequence
 
 from . import gf2
 from .codec import CodeSpec, ExplicitXorCodec
-from .gf2 import BitMatrix
 
-BLOCK_CAP = 1 << gf2.KERNEL_POWER_CAP
+BLOCK_CAP = 1 << 16  # polar_for_parity takes at most this many packets, k + p
 
 
 class ConstructionError(Exception):
@@ -107,11 +106,9 @@ def construct_systematic(levels: int, k: int, epsilon: float) -> PolarConstructi
     """
     info, frozen = channel_split(levels, k, epsilon)
     n = 1 << levels
-    sub = BitMatrix(k, k, [
-        sum((1 << s) for s in range(k) if gf2.kernel_entry(info[t] - 1, info[s] - 1))
-        for t in range(k)
-    ])
-    if gf2.multiply(sub, sub) != BitMatrix.identity(k):
+    sub = [sum((1 << s) for s in range(k) if gf2.kernel_entry(info[t] - 1, info[s] - 1))
+           for t in range(k)]
+    if not all(gf2.xor_rows(row, sub) == 1 << t for t, row in enumerate(sub)):
         raise ConstructionError(
             f"information submatrix is not self-inverse for levels={levels}, "
             f"k={k}, epsilon={epsilon}")

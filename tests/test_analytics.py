@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasurelab import build_mds, gf2, rng
 from erasurelab.analytics import (
@@ -35,6 +37,33 @@ def brute_force_plr(n: int, k: int, p_e: float, codec) -> float:
             weight = p_e ** (n - kept_size) * (1.0 - p_e) ** kept_size
             total += weight * len(codec.unrecovered_sources(kept))
     return total / k
+
+
+def reference_analytic_plr(n: int, k: int, p_e: float, failure_prob) -> float:
+    """The loss mixture as one term per (i systematic erasures, e erasures),
+    each binomial and hypergeometric factor computed afresh."""
+    terms = []
+    for i in range(1, k + 1):
+        for e in range(i, min(n, n - k + i) + 1):
+            fail = failure_prob(e)
+            if fail == 0.0:
+                continue
+            binomial = math.comb(n, e) * p_e**e * (1.0 - p_e) ** (n - e)
+            terms.append(i * fail * binomial * systematic_erasures_pmf(e, i, n, k))
+    return math.fsum(terms) / k
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_analytic_plr_is_bit_identical_to_the_reference_mixture(data):
+    n = data.draw(st.integers(1, 200), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    p_e = data.draw(st.floats(0.0, 1.0), label="p_e")
+    budget = n - k
+    assert plr_mds(n, k, p_e).plr == reference_analytic_plr(
+        n, k, p_e, lambda e: 1.0 if e > budget else 0.0)
+    assert plr_fountain(n, k, p_e).plr == reference_analytic_plr(
+        n, k, p_e, lambda e: 1.0 if e > budget else 2.0 ** -(budget - e))
 
 
 def test_hypergeometric_corner():
@@ -220,6 +249,7 @@ def reference_min_parity_analytic(family: str, k: int, p_e: float,
     ("mds", 250, 0.002, 1e-8, None),  # p=7 would meet it, past the cap
     ("fountain", 250, 0.002, 1e-8, 20),  # no cap
     ("mds", 200, 0.5, 1e-12, None),  # unreachable
+    ("fountain", 200, 0.5, 1e-12, None),
     ("fountain", 20, 0.1, 1e-6, 24),  # more than 10 parity packets
 ])
 def test_min_parity_analytic_equals_the_per_parity_scan(family, k, p_e, target, p):

@@ -45,7 +45,7 @@ def test_packet_size_linearity():
     # the two sizes alternate, so a slow or fast spell of the CPU falls on
     # both sides of a pair, and the median pair ignores a spell that did not
     ratios = []
-    for _ in range(5):
+    for _ in range(9):
         small = bench_codec("fountain", 16, 8, packet_size=4096, iterations=150, seed=4)
         large = bench_codec("fountain", 16, 8, packet_size=8192, iterations=150, seed=4)
         ratios.append(large.encode.median_ns / small.encode.median_ns)

@@ -3,10 +3,8 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from erasurelab import gf2
-from erasurelab.gf2 import BitMatrix, kernel_entry, kernel_power
+from erasurelab.gf2 import kernel_entry
 
 
 def list_rank(rows: list[list[int]]) -> int:
@@ -26,9 +24,19 @@ def list_rank(rows: list[list[int]]) -> int:
     return done
 
 
-def bits(m: BitMatrix, i: int) -> list[int]:
-    """Row i of m as a 0/1 list, column 0 first."""
-    return [(m.row(i) >> j) & 1 for j in range(m.cols)]
+def kernel_rows(m: int) -> list[int]:
+    """Packed rows of the m-fold Kronecker power of [[1, 0], [1, 1]]: row r of
+    one power gives row r of the next, and r | r << half below it."""
+    rows = [1]
+    for _ in range(m):
+        half = len(rows)
+        rows = rows + [r | (r << half) for r in rows]
+    return rows
+
+
+def bits(row: int, width: int) -> list[int]:
+    """A packed row as a 0/1 list, column 0 first."""
+    return [(row >> j) & 1 for j in range(width)]
 
 
 def determined(rows: list[int]) -> set[int]:
@@ -38,9 +46,9 @@ def determined(rows: list[int]) -> set[int]:
 
 
 def test_kernel_power_small_goldens():
-    assert [bits(kernel_power(0), i) for i in range(1)] == [[1]]
-    assert [bits(kernel_power(1), i) for i in range(2)] == [[1, 0], [1, 1]]
-    assert [bits(kernel_power(2), i) for i in range(4)] == [
+    assert [bits(r, 1) for r in kernel_rows(0)] == [[1]]
+    assert [bits(r, 2) for r in kernel_rows(1)] == [[1, 0], [1, 1]]
+    assert [bits(r, 4) for r in kernel_rows(2)] == [
         [1, 0, 0, 0],
         [1, 1, 0, 0],
         [1, 0, 1, 0],
@@ -50,58 +58,65 @@ def test_kernel_power_small_goldens():
 
 def test_all_ones_vector_times_kernel():
     # xor of all four rows of the 4x4 kernel leaves only the last column
-    g = kernel_power(2)
-    acc = 0
-    for i in range(4):
-        acc ^= g.row(i)
-    assert acc == 0b1000
+    assert gf2.xor_rows(0b1111, kernel_rows(2)) == 0b1000
 
 
 def test_kernel_power_square_is_identity():
     for m in range(11):
-        g = kernel_power(m)
-        assert gf2.multiply(g, g) == BitMatrix.identity(1 << m)
-
-
-def test_kernel_power_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        kernel_power(-1)
-    with pytest.raises(ValueError):
-        kernel_power(gf2.KERNEL_POWER_CAP + 1)
+        g = kernel_rows(m)
+        assert [gf2.xor_rows(r, g) for r in g] == [1 << i for i in range(1 << m)]
 
 
 def test_kernel_entry_matches_matrix():
     for m in range(9):
-        g = kernel_power(m)
+        g = kernel_rows(m)
         n = 1 << m
         for i in range(n):
             for j in range(n):
-                assert kernel_entry(i, j) == (g.row(i) >> j) & 1
+                assert kernel_entry(i, j) == (g[i] >> j) & 1
+
+
+def test_kernel_entry_submatrix():
+    # rows {1, 3}, columns {0, 1} of the 4x4 kernel, packed as construct_systematic packs them
+    rows, cols = [1, 3], [0, 1]
+    sub = [sum(kernel_entry(r, c) << t for t, c in enumerate(cols)) for r in rows]
+    assert [bits(r, 2) for r in sub] == [[1, 1], [1, 1]]
+
+
+def test_ones_and_xor_rows_match_bit_lists():
+    rnd = random.Random(17)
+    assert gf2.ones(0) == [] and gf2.xor_rows(0, [5, 6]) == 0
+    for _ in range(200):
+        width = rnd.randrange(1, 70)
+        mask = rnd.getrandbits(width)
+        rows = [rnd.getrandbits(40) for _ in range(width)]
+        picked = [j for j in range(width) if (mask >> j) & 1]
+        assert gf2.ones(mask) == [j + 1 for j in picked]
+        acc = 0
+        for j in picked:
+            acc ^= rows[j]
+        assert gf2.xor_rows(mask, rows) == acc
+
+
+def test_packed_product_associative_random():
+    # with packed rows, row i of A @ B is xor_rows(A[i], B)
+    def product(a: list[int], b: list[int]) -> list[int]:
+        return [gf2.xor_rows(r, b) for r in a]
+
+    rnd = random.Random(2024)
+    for _ in range(20):
+        a = [rnd.getrandbits(7) for _ in range(5)]
+        b = [rnd.getrandbits(4) for _ in range(7)]
+        c = [rnd.getrandbits(6) for _ in range(4)]
+        assert product(product(a, b), c) == product(a, product(b, c))
 
 
 def test_kernel_is_persymmetric():
     for m in (2, 3, 4, 5):
-        g = kernel_power(m)
         n = 1 << m
         for i in range(n):
             for j in range(n):
-                assert (g.row(i) >> j) & 1 == (g.row(n - 1 - j) >> (n - 1 - i)) & 1
-
-
-def test_multiply_associative_random():
-    rnd = random.Random(2024)
-    for _ in range(20):
-        a = BitMatrix(5, 7, [rnd.getrandbits(7) for _ in range(5)])
-        b = BitMatrix(7, 4, [rnd.getrandbits(4) for _ in range(7)])
-        c = BitMatrix(4, 6, [rnd.getrandbits(6) for _ in range(4)])
-        assert gf2.multiply(gf2.multiply(a, b), c) == gf2.multiply(a, gf2.multiply(b, c))
-
-
-def test_multiply_dimension_check():
-    a = BitMatrix.identity(3)
-    b = BitMatrix.identity(4)
-    with pytest.raises(ValueError):
-        gf2.multiply(a, b)
+                assert kernel_entry(i, j) == kernel_entry(n - 1 - j, n - 1 - i)
 
 
 def test_rank_matches_list_oracle():
@@ -130,6 +145,12 @@ def test_reduce_augmented_tracks_payload():
     assert reduced == [0b01 | 6 << 2, 0b10 | 3 << 2]
 
 
+def test_reduce_augmented_drops_rows_whose_unknowns_cancel():
+    # the repeated equation and the payload-only row pin nothing and are dropped
+    rows = [0b01 | 1 << 2, 0b01 | 1 << 2, 7 << 2, 0b11 | 2 << 2]
+    assert gf2.reduce_augmented(rows, 0b11) == [0b01 | 1 << 2, 0b10 | 3 << 2]
+
+
 def test_weight_one_rows_pin_a_simple_chain():
     # unknowns 0, 1 with equations x0^x1 and x1: both determined
     assert determined([0b11, 0b10]) == {0, 1}
@@ -150,15 +171,3 @@ def test_weight_one_rows_invariant_under_equation_order():
         shuffled = rows[:]
         rnd.shuffle(shuffled)
         assert determined(rows) == determined(shuffled)
-
-
-def test_submatrix():
-    sub = kernel_power(2).submatrix([1, 3], [0, 1])
-    assert [bits(sub, i) for i in range(2)] == [[1, 1], [1, 1]]
-
-
-def test_bitmatrix_rejects_empty_shapes():
-    with pytest.raises(ValueError):
-        BitMatrix(0, 3, [])
-    with pytest.raises(ValueError):
-        BitMatrix(3, 0, [0, 0, 0])

@@ -33,6 +33,15 @@ def exact_bhattacharyya(levels: int, epsilon: Fraction) -> list[Fraction]:
     return z
 
 
+def kernel_rows(levels: int) -> list[int]:
+    """Packed rows of the Kronecker power of [[1, 0], [1, 1]] by its recursion."""
+    rows = [1]
+    for _ in range(levels):
+        half = len(rows)
+        rows = rows + [r | (r << half) for r in rows]
+    return rows
+
+
 def test_single_level_split():
     assert bhattacharyya(1, 0.5) == [0.75, 0.25]
 
@@ -107,12 +116,13 @@ def test_construction_16_10_degrees():
 def test_info_submatrix_self_inverse_exhaustive():
     for levels in range(1, 7):
         n = 1 << levels
+        g = kernel_rows(levels)
         for k in range(1, n):
             for eps in (0.01, 0.05, 0.2):
                 c = construct_systematic(levels, k, eps)
                 info0 = [ch - 1 for ch in sorted(c.info_channels)]
-                sub = gf2.kernel_power(levels).submatrix(info0, info0)
-                assert gf2.multiply(sub, sub) == gf2.BitMatrix.identity(k)
+                sub = [sum(((g[i] >> j) & 1) << s for s, j in enumerate(info0)) for i in info0]
+                assert [gf2.xor_rows(r, sub) for r in sub] == [1 << t for t in range(k)]
 
 
 def test_construction_validation():
@@ -206,3 +216,10 @@ def test_parity_limit_matches_reservoir():
 
 def test_construction_error_is_exposed():
     assert issubclass(ConstructionError, Exception)
+
+
+def test_construction_rejects_a_submatrix_that_is_not_self_inverse(monkeypatch):
+    # channels 1, 2, 4 give the submatrix [[1,0,0],[1,1,0],[1,1,1]], whose square is not I
+    monkeypatch.setattr("erasurelab.polar.channel_split", lambda *args: ((1, 2, 4), (3,)))
+    with pytest.raises(ConstructionError, match="not self-inverse for levels=2, k=3"):
+        construct_systematic(2, 3, 0.05)
