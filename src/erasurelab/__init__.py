@@ -28,10 +28,8 @@ from .multicast import enumerate_patterns, simulate_incremental, weighted_cdf
 from .polar import (
     ConstructionError,
     PolarCodec,
-    PolarConstruction,
     bhattacharyya,
     channel_split,
-    construct_systematic,
     polar_for_parity,
 )
 
@@ -50,14 +48,12 @@ __all__ = [
     "ParityPlan",
     "PlrReport",
     "PolarCodec",
-    "PolarConstruction",
     "bench_codec",
     "bhattacharyya",
     "build_codec",
     "build_mds",
     "channel_split",
     "collectable_packets",
-    "construct_systematic",
     "delay_budget",
     "enumerate_patterns",
     "min_parity",

@@ -201,7 +201,7 @@ def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, wor
     p = 1
     while k + p <= rng.MAX_PACKETS:
         codec = build_codec(CodeSpec(family="polar", n=k + p, k=k, epsilon=p_e))
-        block = codec.construction.block_length
+        block = codec.n
         n = min(block, rng.MAX_PACKETS)
         totals = _lost_totals(codec, n, p_e, receivers, seed, workers)
         for j in range(p, n - k + 1):

@@ -74,7 +74,7 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
     """Measure one codec configuration.
 
     The decode side is the worst case for a systematic code: erasure_count
-    losses (default p), all of them source packets, repaired from parity.
+    losses (default min(p, k)), all of them source packets, repaired from parity.
     """
     spec = CodeSpec(family=family, n=k + p, k=k, seed=seed)
     if iterations < MIN_ITERATIONS:

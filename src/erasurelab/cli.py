@@ -98,19 +98,18 @@ def construct(family, k, parity, epsilon, as_json):
         codec = polar_for_parity(k, parity, epsilon)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    c = codec.construction
     fields = {
         "family": family,
-        "block_length": c.block_length,
-        "k": c.k,
+        "block_length": codec.n,
+        "k": k,
         "parity": parity,
-        "epsilon": c.epsilon,
-        "info_channels": list(c.info_channels),
-        "parity_channels": list(c.parity_channels),
-        "reservoir": tuple("".join("1" if (m >> t) & 1 else "0" for t in range(c.k))
-                           for m in c.reservoir[:parity]),
-        "raw_degrees": c.raw_degrees()[:parity],
-        "effective_degrees": c.effective_degrees()[:parity],
+        "epsilon": codec.epsilon,
+        "info_channels": list(codec.info_channels),
+        "parity_channels": list(codec.parity_channels),
+        "reservoir": tuple("".join("1" if (m >> t) & 1 else "0" for t in range(k))
+                           for m in codec.masks[:parity]),
+        "raw_degrees": codec.raw_degrees()[:parity],
+        "effective_degrees": codec.effective_degrees()[:parity],
     }
     show(fields)
     if as_json:
@@ -250,7 +249,8 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
 @click.option("--k", type=int, required=True)
 @click.option("--parity", type=int, required=True)
 @click.option("--erasures", type=int, default=None,
-              help="Erased source packets for decode (default: parity count).")
+              help="Erased source packets for decode (default: the parity count or k, "
+                   "whichever is smaller).")
 @click.option("--size", type=int, default=1500, show_default=True, help="Packet size in bytes.")
 @click.option("--iters", type=int, default=bench.MIN_ITERATIONS, show_default=True)
 @click.option("--seed", type=SEED, default=None)

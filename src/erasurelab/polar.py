@@ -8,7 +8,6 @@ is transmitted first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import gf2
@@ -66,37 +65,14 @@ def channel_split(levels: int, k: int, epsilon: float) -> tuple[tuple[int, ...],
     return info, frozen
 
 
-@dataclass(frozen=True)
-class PolarConstruction:
-    """Result of the systematic construction.
+class PolarCodec(ExplicitXorCodec):
+    """Systematic code for 2**levels channels and k source packets.
 
-    Entry j-1 of the reservoir is the k-bit column mask of the parity packet
-    for parity_channels[j-1]; bit t-1 stands for source packet t, which rides
-    on info_channels[t-1]. The column is already restricted to the
-    information rows: the frozen rows carry no information, so their ones
-    simply disappear from the mask.
-    """
-
-    block_length: int
-    k: int
-    epsilon: float
-    info_channels: tuple[int, ...]
-    parity_channels: tuple[int, ...]
-    reservoir: tuple[int, ...]
-
-    def raw_degrees(self) -> list[int]:
-        """Ones per reservoir column counted over the full kernel power:
-        column c has a one in each row whose bits contain c's, 2**(levels -
-        popcount c) of them."""
-        return [self.block_length >> (ch - 1).bit_count() for ch in self.parity_channels]
-
-    def effective_degrees(self) -> list[int]:
-        """Ones per reservoir column after the frozen rows are dropped."""
-        return [mask.bit_count() for mask in self.reservoir]
-
-
-def construct_systematic(levels: int, k: int, epsilon: float) -> PolarConstruction:
-    """Build the systematic code for 2**levels channels and k source packets.
+    The k best channels, info_channels, carry the source packets; mask j-1
+    is the k-bit column of the parity packet for parity_channels[j-1], bit
+    t-1 standing for source packet t on info_channels[t-1]. The column is
+    already restricted to the information rows: the frozen rows carry no
+    information, so their ones simply disappear from the mask.
 
     The k x k submatrix of the kernel power on the information channels is
     checked to be self-inverse; that is the algebraic fact that lets the
@@ -104,43 +80,38 @@ def construct_systematic(levels: int, k: int, epsilon: float) -> PolarConstructi
     columns keep their kernel entries on the information rows. A failure
     raises ConstructionError rather than producing a quietly wrong code.
     """
-    info, frozen = channel_split(levels, k, epsilon)
-    n = 1 << levels
-    sub = [sum((1 << s) for s in range(k) if gf2.kernel_entry(info[t] - 1, info[s] - 1))
-           for t in range(k)]
-    if not all(gf2.xor_rows(row, sub) == 1 << t for t, row in enumerate(sub)):
-        raise ConstructionError(
-            f"information submatrix is not self-inverse for levels={levels}, "
-            f"k={k}, epsilon={epsilon}")
-    reservoir = tuple(
-        sum((1 << t) for t in range(k) if gf2.kernel_entry(info[t] - 1, ch - 1))
-        for ch in frozen
-    )
-    return PolarConstruction(
-        block_length=n,
-        k=k,
-        epsilon=epsilon,
-        info_channels=info,
-        parity_channels=frozen,
-        reservoir=reservoir,
-    )
 
+    def __init__(self, levels: int, k: int, epsilon: float):
+        info, frozen = channel_split(levels, k, epsilon)
+        sub = [sum((1 << s) for s in range(k) if gf2.kernel_entry(info[t] - 1, info[s] - 1))
+               for t in range(k)]
+        if not all(gf2.xor_rows(row, sub) == 1 << t for t, row in enumerate(sub)):
+            raise ConstructionError(
+                f"information submatrix is not self-inverse for levels={levels}, "
+                f"k={k}, epsilon={epsilon}")
+        reservoir = [sum((1 << t) for t in range(k) if gf2.kernel_entry(info[t] - 1, ch - 1))
+                     for ch in frozen]
+        super().__init__(k, reservoir)
+        self.epsilon = epsilon
+        self.info_channels = info
+        self.parity_channels = frozen
 
-class PolarCodec(ExplicitXorCodec):
-    """Wire-format codec view of a PolarConstruction."""
+    def raw_degrees(self) -> list[int]:
+        """Ones per reservoir column counted over the full kernel power:
+        column c has a one in each row whose bits contain c's, 2**(levels -
+        popcount c) of them."""
+        return [self.n >> (ch - 1).bit_count() for ch in self.parity_channels]
 
-    def __init__(self, construction: PolarConstruction):
-        super().__init__(construction.k, construction.reservoir)
-        self.construction = construction
+    def effective_degrees(self) -> list[int]:
+        """Ones per reservoir column after the frozen rows are dropped."""
+        return [mask.bit_count() for mask in self.masks]
 
     @property
     def spec(self) -> CodeSpec:
-        c = self.construction
-        return CodeSpec(family="polar", n=c.block_length, k=c.k, epsilon=c.epsilon)
+        return CodeSpec(family="polar", n=self.n, k=self.k, epsilon=self.epsilon)
 
     def __repr__(self) -> str:
-        c = self.construction
-        return f"PolarCodec(n={c.block_length}, k={c.k}, epsilon={c.epsilon})"
+        return f"PolarCodec(n={self.n}, k={self.k}, epsilon={self.epsilon})"
 
 
 def polar_for_parity(k: int, p: int, epsilon: float) -> PolarCodec:
@@ -157,4 +128,4 @@ def polar_for_parity(k: int, p: int, epsilon: float) -> PolarCodec:
     levels = 1
     while (1 << levels) < k + p or (1 << levels) <= k:
         levels += 1
-    return PolarCodec(construct_systematic(levels, k, epsilon))
+    return PolarCodec(levels, k, epsilon)

@@ -17,7 +17,7 @@ from erasurelab.fountain import FountainCode
 from erasurelab.gf2 import xor_rows
 from erasurelab.gf256 import build_mds
 from erasurelab.multicast import enumerate_patterns, simulate_incremental, weighted_cdf
-from erasurelab.polar import PolarCodec, bhattacharyya, channel_split, construct_systematic, quality_order
+from erasurelab.polar import PolarCodec, bhattacharyya, channel_split, quality_order
 
 BEST_FIRST_16 = [16, 15, 14, 12, 8, 13, 11, 10, 7, 6, 4, 9, 5, 3, 2, 1]
 
@@ -47,7 +47,7 @@ def test_criterion_01_channel_ordering_golden():
 
 
 def test_criterion_02_degree_golden():
-    c = construct_systematic(4, 10, 0.05)
+    c = PolarCodec(4, 10, 0.05)
     ok = (c.raw_degrees() == [16, 8, 8, 8, 8, 4]
           and c.effective_degrees() == [10, 6, 6, 7, 7, 3])
     verdict(2, ok)
@@ -76,7 +76,7 @@ def test_criterion_03_self_inverse_suite():
         g = kernel_rows(m)
         for k in range(1, n):
             for eps in (0.01, 0.05, 0.2):
-                c = construct_systematic(m, k, eps)
+                c = PolarCodec(m, k, eps)
                 rows = [ch - 1 for ch in sorted(c.info_channels)]
                 sub = [sum(((g[i] >> j) & 1) << s for s, j in enumerate(rows)) for i in rows]
                 ok = ok and is_identity_square(sub)
@@ -196,7 +196,7 @@ def test_criterion_07_estimator_consistency_scaled():
     worst = 0.0
     for m, k in codes:
         n = 1 << m
-        codec = PolarCodec(construct_systematic(m, k, 0.05))
+        codec = PolarCodec(m, k, 0.05)
         mu, variance = exact_loss_moments(codec, n, k, 0.05)
         r_small = bernstein_radius(small_receivers, variance, delta)
         r_big = bernstein_radius(big_receivers, variance, delta)
@@ -232,7 +232,7 @@ def test_criterion_08_multicast_cdf_shape():
         mds = build_mds(k + e_max, k)
         mds_curve = weighted_cdf(simulate_incremental(mds, patterns, rounds=e_max),
                                  patterns)
-        polar = PolarCodec(construct_systematic(4, k, p_e))
+        polar = PolarCodec(4, k, p_e)
         polar_table = simulate_incremental(polar, patterns, rounds=8)
         polar_curve = weighted_cdf(polar_table, patterns)
 
@@ -261,7 +261,7 @@ def test_criterion_08_multicast_cdf_shape():
             ok = ok and gap < 0.1
 
     # (d) a 4-loss pattern over the whole 16-packet block that never decodes
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     everything = set(range(1, 17))
     failing = sum(1 for lost in combinations(range(1, 17), 4)
                   if codec.unrecovered_sources(everything - set(lost)))
@@ -273,8 +273,8 @@ def test_criterion_08_multicast_cdf_shape():
 
 def test_criterion_09_reservoir_order_is_optimal():
     t0 = time.perf_counter()
-    c = construct_systematic(4, 8, 0.05)
-    masks = list(c.reservoir)
+    c = PolarCodec(4, 8, 0.05)
+    masks = list(c.masks)
     patterns = enumerate_patterns(8, 3, 0.05)
 
     def area(order):

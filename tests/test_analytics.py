@@ -206,7 +206,7 @@ def reference_min_parity_polar(k: int, p_e: float, target: float, receivers: int
         if plr <= target:
             return ParityPlan(family="polar", k=k, p=p, n=n, plr=plr, method="mc",
                               receivers=receivers, seed=seed,
-                              block_length=codec.construction.block_length)
+                              block_length=codec.n)
     return None
 
 

@@ -37,8 +37,11 @@ def test_zero_parity_encode_is_noise_level():
 
 
 def test_mds_decode_must_complete():
-    report = bench_codec("mds", 12, 6, erasure_count=6, iterations=100, seed=3)
-    assert report.decode_complete
+    # with p > k the default erasure count is k, every source packet
+    for k, p, erasures, expect in ((12, 6, 6, 6), (4, 8, None, 4)):
+        report = bench_codec("mds", k, p, erasure_count=erasures, iterations=100, seed=3)
+        assert report.erasure_count == expect
+        assert report.decode_complete
 
 
 def test_packet_size_linearity():

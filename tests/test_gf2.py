@@ -77,7 +77,7 @@ def test_kernel_entry_matches_matrix():
 
 
 def test_kernel_entry_submatrix():
-    # rows {1, 3}, columns {0, 1} of the 4x4 kernel, packed as construct_systematic packs them
+    # rows {1, 3}, columns {0, 1} of the 4x4 kernel, packed as PolarCodec packs them
     rows, cols = [1, 3], [0, 1]
     sub = [sum(kernel_entry(r, c) << t for t, c in enumerate(cols)) for r in rows]
     assert [bits(r, 2) for r in sub] == [[1, 1], [1, 1]]

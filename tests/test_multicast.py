@@ -14,7 +14,7 @@ from erasurelab import (
 )
 from erasurelab.codec import ExplicitXorCodec
 from erasurelab.multicast import RecoveryTable
-from erasurelab.polar import PolarCodec, construct_systematic, polar_for_parity
+from erasurelab.polar import PolarCodec, polar_for_parity
 
 
 def reference_simulate_incremental(codec, pattern_set, rounds: int) -> RecoveryTable:
@@ -93,7 +93,7 @@ def test_mds_rounds_follow_singleton_rule():
 
 def test_polar_first_round_repairs_all_single_losses():
     patterns = enumerate_patterns(8, 1, 0.05)
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     table = simulate_incremental(codec, patterns, rounds=8)
     for idx in range(len(patterns.patterns)):
         assert table.full_recovery_round(idx) == 1
@@ -114,7 +114,7 @@ def test_fountain_first_round_repairs_half_on_average():
 
 def test_recovery_is_monotone_per_pattern():
     patterns = enumerate_patterns(8, 3, 0.05)
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     table = simulate_incremental(codec, patterns, rounds=8)
     for row in table.recovered:
         assert all(a <= b for a, b in zip(row, row[1:]))
@@ -122,7 +122,7 @@ def test_recovery_is_monotone_per_pattern():
 
 def test_cdf_monotone_and_reaches_one():
     patterns = enumerate_patterns(8, 4, 0.05)
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     table = simulate_incremental(codec, patterns)
     curve = weighted_cdf(table, patterns)
     fractions = [f for _, f in curve.points]
@@ -146,7 +146,7 @@ def test_mds_cdf_closed_form():
 
 def test_partial_credit_exceeds_full_credit():
     patterns = enumerate_patterns(8, 4, 0.05)
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     table = simulate_incremental(codec, patterns)
     full = dict(weighted_cdf(table, patterns).points)
     partial = weighted_cdf(table, patterns, partial=True)
@@ -159,15 +159,15 @@ def test_partial_credit_exceeds_full_credit():
 
 def test_default_rounds_use_parity_budget():
     patterns = enumerate_patterns(8, 2, 0.05)
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     table = simulate_incremental(codec, patterns)
     assert table.rounds == 8
     assert simulate_incremental(FountainCode(8, seed=1, n=11), patterns).rounds == 3
 
 
 def test_explicit_codec_permutation_changes_curve():
-    c = construct_systematic(4, 8, 0.05)
-    masks = list(c.reservoir)
+    c = PolarCodec(4, 8, 0.05)
+    masks = list(c.masks)
     patterns = enumerate_patterns(8, 3, 0.05)
     designed = ExplicitXorCodec(8, masks)
     shuffled = ExplicitXorCodec(8, masks[1:4] + [masks[0]] + masks[4:])

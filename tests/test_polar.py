@@ -13,7 +13,6 @@ from erasurelab.polar import (
     PolarCodec,
     bhattacharyya,
     channel_split,
-    construct_systematic,
     polar_for_parity,
     quality_order,
 )
@@ -96,19 +95,19 @@ def test_channel_split_partition():
 
 
 def test_construction_16_8_golden():
-    c = construct_systematic(4, 8, 0.05)
-    assert c.block_length == 16
+    c = PolarCodec(4, 8, 0.05)
+    assert c.n == 16
     assert c.info_channels == (16, 15, 14, 12, 8, 13, 11, 10)
     assert c.parity_channels == (1, 2, 3, 5, 9, 4, 6, 7)
-    assert list(c.reservoir) == [255, 157, 91, 55, 239, 25, 21, 19]
+    assert list(c.masks) == [255, 157, 91, 55, 239, 25, 21, 19]
     assert c.raw_degrees() == [16, 8, 8, 8, 8, 4, 4, 4]
     assert c.effective_degrees() == [8, 5, 5, 5, 7, 3, 3, 3]
     # the best frozen channel contributes an all-ones repair column
-    assert list(c.reservoir)[0] == (1 << c.k) - 1
+    assert c.masks[0] == (1 << c.k) - 1
 
 
 def test_construction_16_10_degrees():
-    c = construct_systematic(4, 10, 0.05)
+    c = PolarCodec(4, 10, 0.05)
     assert c.raw_degrees() == [16, 8, 8, 8, 8, 4]
     assert c.effective_degrees() == [10, 6, 6, 7, 7, 3]
 
@@ -119,24 +118,30 @@ def test_info_submatrix_self_inverse_exhaustive():
         g = kernel_rows(levels)
         for k in range(1, n):
             for eps in (0.01, 0.05, 0.2):
-                c = construct_systematic(levels, k, eps)
+                c = PolarCodec(levels, k, eps)
                 info0 = [ch - 1 for ch in sorted(c.info_channels)]
                 sub = [sum(((g[i] >> j) & 1) << s for s, j in enumerate(info0)) for i in info0]
                 assert [gf2.xor_rows(r, sub) for r in sub] == [1 << t for t in range(k)]
+                # mask j-1 is column parity_channels[j-1] on the information rows, in
+                # info_channels order; its raw degree counts the column's ones on all rows
+                cols = [[(g[i] >> (ch - 1)) & 1 for i in range(n)] for ch in c.parity_channels]
+                info = c.info_channels
+                assert list(c.masks) == [sum(col[ch - 1] << t for t, ch in enumerate(info))
+                                         for col in cols]
+                assert c.raw_degrees() == [sum(col) for col in cols]
 
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        construct_systematic(4, 0, 0.05)
+        PolarCodec(4, 0, 0.05)
     with pytest.raises(ValueError):
-        construct_systematic(4, 16, 0.05)
+        PolarCodec(4, 16, 0.05)
     with pytest.raises(ValueError):
-        construct_systematic(2, 2, 1.5)
+        PolarCodec(2, 2, 1.5)
 
 
 def test_codec_round_trip_with_reservoir():
-    c = construct_systematic(4, 8, 0.05)
-    codec = PolarCodec(c)
+    codec = PolarCodec(4, 8, 0.05)
     src = [bytes([i * 3 + 1] * 32) for i in range(8)]
     parity = codec.encode(src, 8)
     assert len(parity) == 8
@@ -150,8 +155,7 @@ def test_codec_round_trip_with_reservoir():
 
 
 def test_decode_invariant_under_input_order():
-    c = construct_systematic(4, 8, 0.05)
-    codec = PolarCodec(c)
+    codec = PolarCodec(4, 8, 0.05)
     src = [bytes([i + 10] * 8) for i in range(8)]
     parity = codec.encode(src, 8)
     pairs = [(i, src[i - 1]) for i in (3, 4, 5, 6, 7, 8)]
@@ -165,7 +169,7 @@ def test_decode_invariant_under_input_order():
 def test_systematic_only_patterns_recover_up_to_four():
     # with every reservoir column present, any <= 4 losses among the
     # 8 source packets are repairable
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     parity_idx = list(range(9, 17))
     for e in (1, 2, 3, 4):
         for lost in combinations(range(1, 9), e):
@@ -176,7 +180,7 @@ def test_systematic_only_patterns_recover_up_to_four():
 def test_whole_block_minimum_distance_is_three():
     # losing sources 1 and 5 plus the only separating parity column
     # pins them to their xor; every other <= 3 loss pattern recovers
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     everything = set(range(1, 17))
     failing = [lost
                for e in (1, 2, 3)
@@ -186,7 +190,7 @@ def test_whole_block_minimum_distance_is_three():
 
 
 def test_whole_block_four_loss_failures_exist():
-    codec = PolarCodec(construct_systematic(4, 8, 0.05))
+    codec = PolarCodec(4, 8, 0.05)
     everything = set(range(1, 17))
     failing = [lost for lost in combinations(range(1, 17), 4)
                if codec.unrecovered_sources(everything - set(lost))]
@@ -196,12 +200,12 @@ def test_whole_block_four_loss_failures_exist():
 
 def test_polar_for_parity_block_choice():
     codec = polar_for_parity(8, 8, 0.05)
-    assert codec.construction.block_length == 16
+    assert codec.n == 16
     codec = polar_for_parity(8, 9, 0.05)
-    assert codec.construction.block_length == 32
+    assert codec.n == 32
     codec = polar_for_parity(16, 1, 0.05)
     # a full block leaves no frozen channels, so the next size is used
-    assert codec.construction.block_length == 32
+    assert codec.n == 32
     with pytest.raises(ValueError):
         polar_for_parity(BLOCK_CAP, 1, 0.05)
 
@@ -222,4 +226,4 @@ def test_construction_rejects_a_submatrix_that_is_not_self_inverse(monkeypatch):
     # channels 1, 2, 4 give the submatrix [[1,0,0],[1,1,0],[1,1,1]], whose square is not I
     monkeypatch.setattr("erasurelab.polar.channel_split", lambda *args: ((1, 2, 4), (3,)))
     with pytest.raises(ConstructionError, match="not self-inverse for levels=2, k=3"):
-        construct_systematic(2, 3, 0.05)
+        PolarCodec(2, 3, 0.05)
