@@ -86,20 +86,19 @@ def main():
 
 
 @main.command()
-@click.option("--family", type=click.Choice(["polar"]), default="polar", show_default=True)
 @click.option("--k", type=int, required=True, help="Source packets per block.")
 @click.option("--parity", type=int, required=True, help="Parity packets to plan for.")
 @click.option("--epsilon", type=float, default=0.05, show_default=True,
               help="Channel erasure probability used for the construction.")
 @click.option("--json", "as_json", is_flag=True, help="Also print a JSON object.")
-def construct(family, k, parity, epsilon, as_json):
-    """Print a code construction: channel split, reservoir, degrees."""
+def construct(k, parity, epsilon, as_json):
+    """Print a polar code construction: channel split, reservoir, degrees."""
     try:
         codec = polar_for_parity(k, parity, epsilon)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     fields = {
-        "family": family,
+        "family": "polar",
         "block_length": codec.n,
         "k": k,
         "parity": parity,

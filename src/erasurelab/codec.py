@@ -70,6 +70,8 @@ class ErasureCodec:
     and the drop of masks that lose no source; families supply only `_parity`
     for `encode`, `_solve(block, missing, js)` for `decode`, `_unsolved` for
     `unrecovered_sources` and `_unsolved_totals` for `unrecovered_totals`.
+    `_recovery_rows` for `recovery_rows` defaults to one `unrecovered_sources`
+    call per round; a family with a closed form overrides it.
 
     `spec` describes the codec so that `build_codec(c.spec)` rebuilds its
     parity columns, or it raises ValueError and says why."""
@@ -158,6 +160,31 @@ class ErasureCodec:
         if parity:
             self._check_parity_index(max(parity))
         return self._unsolved(missing, parity)
+
+    def recovery_rows(self, lost: Sequence[frozenset], rounds: int) -> tuple[tuple[int, ...], ...]:
+        """Row i, entry t for t = 0..rounds: how many sources of the set
+        lost[i] are recovered once every other source and parity packets
+        1..t have arrived."""
+        if rounds < 0:
+            raise ValueError(f"rounds must be at least 0, got {rounds}")
+        if rounds > self.parity_limit:
+            raise ValueError(f"rounds {rounds} exceed the parity limit {self.parity_limit}")
+        return self._recovery_rows(lost, rounds)
+
+    def _recovery_rows(self, lost: Sequence[frozenset], rounds: int) -> tuple[tuple[int, ...], ...]:
+        """recovery_rows for checked rounds: one oracle call per round until
+        the set is recovered whole."""
+        parity = list(range(self.k + 1, self.k + rounds + 1))
+        rows = []
+        for pattern in lost:
+            size = len(pattern)
+            survivors = list(self._sources - pattern)
+            row = [0]  # round 0 brings no parity, so it repairs nothing
+            for t in range(1, rounds + 1):
+                row.append(size if row[-1] == size
+                           else size - len(self.unrecovered_sources(survivors + parity[:t])))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def unrecovered_totals(self, erased: np.ndarray, n: int, weights: np.ndarray) -> list[int]:
         """Entry j, for j = 0..n-k: the sum over the uint64 erasure masks of a

@@ -156,6 +156,13 @@ class MdsCode(ErasureCodec):
         that is once as much parity arrived as sources were lost; none before."""
         return frozenset() if len(parity) >= len(missing) else missing
 
+    def _recovery_rows(self, lost: Sequence[frozenset], rounds: int) -> tuple[tuple[int, ...], ...]:
+        """A set of e lost sources is recovered whole from round e on, and not
+        at all before: one row per distinct e, and no oracle call."""
+        rows = {e: tuple(0 if t < e else e for t in range(rounds + 1))
+                for e in {len(pattern) for pattern in lost}}
+        return tuple(rows[len(pattern)] for pattern in lost)
+
     def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
                          weights: np.ndarray) -> list[int]:
         """Every lost source stays lost when fewer than k of the first k+j

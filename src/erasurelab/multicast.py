@@ -96,27 +96,11 @@ def simulate_incremental(codec, pattern_set: PatternSet, rounds: int | None = No
     """
     if codec.k != pattern_set.k:
         raise ValueError(f"codec has k={codec.k}, patterns have k={pattern_set.k}")
-    limit = codec.parity_limit
     if rounds is None:
-        rounds = limit
-    if rounds < 0:
-        raise ValueError(f"rounds must be at least 0, got {rounds}")
-    if rounds > limit:
-        raise ValueError(f"rounds {rounds} exceed the parity limit {limit}")
-    sources = frozenset(range(1, codec.k + 1))
-    parity = list(range(codec.k + 1, codec.k + rounds + 1))
-    lost_sizes = []
-    recovered = []
-    for pattern in pattern_set.patterns:
-        size = len(pattern.lost)
-        survivors = list(sources - pattern.lost)
-        row = [0]  # round 0 brings no parity, so it repairs nothing
-        for t in range(1, rounds + 1):
-            row.append(size if row[-1] == size
-                       else size - len(codec.unrecovered_sources(survivors + parity[:t])))
-        lost_sizes.append(size)
-        recovered.append(tuple(row))
-    return RecoveryTable(rounds=rounds, lost_sizes=tuple(lost_sizes), recovered=tuple(recovered))
+        rounds = codec.parity_limit
+    lost = [pattern.lost for pattern in pattern_set.patterns]
+    return RecoveryTable(rounds=rounds, lost_sizes=tuple(len(s) for s in lost),
+                         recovered=codec.recovery_rows(lost, rounds))
 
 
 def weighted_cdf(table: RecoveryTable, pattern_set: PatternSet,

@@ -66,6 +66,25 @@ def test_analytic_plr_is_bit_identical_to_the_reference_mixture(data):
         n, k, p_e, lambda e: 1.0 if e > budget else 2.0 ** -(budget - e))
 
 
+def reference_linear_plr(n: int, k: int, p_e: float, failure_prob) -> float:
+    """The loss mixture in O(n) terms: given e erasures, e*k/n of them are
+    systematic on average, so the rate is (1/n) * sum_e e * fail(e) * P(E = e)."""
+    return math.fsum(e * failure_prob(e) * math.comb(n, e) * p_e**e * (1.0 - p_e) ** (n - e)
+                     for e in range(1, n + 1)) / n
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (8, 4), (20, 10), (64, 40), (128, 100), (300, 200),
+                                  (456, 200)])
+@pytest.mark.parametrize("p_e", [1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9])
+def test_analytic_plr_matches_the_linear_form(n, k, p_e):
+    budget = n - k
+    assert plr_mds(n, k, p_e).plr == pytest.approx(
+        reference_linear_plr(n, k, p_e, lambda e: 1.0 if e > budget else 0.0), rel=1e-14, abs=0.0)
+    assert plr_fountain(n, k, p_e).plr == pytest.approx(
+        reference_linear_plr(n, k, p_e, lambda e: 1.0 if e > budget else 2.0 ** -(budget - e)),
+        rel=1e-14, abs=0.0)
+
+
 def test_hypergeometric_corner():
     # all four erasures land on the four systematic packets of (8,4)
     assert systematic_erasures_pmf(4, 4, 8, 4) == pytest.approx(1 / 70, abs=1e-15)

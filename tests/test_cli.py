@@ -82,6 +82,13 @@ def test_construct_rejects_bad_epsilon():
     assert result.exit_code == 2
 
 
+def test_construct_has_no_family_option():
+    # construct builds polar codes only; the report still says so
+    result = run("construct", "--family", "polar", "--k", 8, "--parity", 8)
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--family" in result.output
+
+
 def test_construct_json_mirror():
     result = run("construct", "--k", 8, "--parity", 4, "--epsilon", 0.05, "--json")
     assert result.exit_code == 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasurelab import (
     FountainCode,
@@ -13,6 +15,7 @@ from erasurelab import (
     weighted_cdf,
 )
 from erasurelab.codec import ExplicitXorCodec
+from erasurelab.gf256 import MdsCode
 from erasurelab.multicast import RecoveryTable
 from erasurelab.polar import PolarCodec, polar_for_parity
 
@@ -193,3 +196,58 @@ def test_simulation_matches_the_reference_loop(codec):
     for rounds in (0, 1, codec.parity_limit):
         assert (simulate_incremental(codec, patterns, rounds=rounds)
                 == reference_simulate_incremental(codec, patterns, rounds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mds_recovery_rows_equal_the_reference_loop(data):
+    k = data.draw(st.integers(1, 10), label="k")
+    e_max = data.draw(st.integers(1, k), label="e_max")
+    codec = build_mds(k + e_max, k)
+    # rounds below e_max leave the larger patterns unrepaired
+    rounds = data.draw(st.integers(0, codec.parity_limit), label="rounds")
+    patterns = enumerate_patterns(k, e_max, 0.05)
+    assert (codec.recovery_rows([p.lost for p in patterns.patterns], rounds)
+            == reference_simulate_incremental(codec, patterns, rounds).recovered)
+
+
+@pytest.mark.parametrize("codec", [
+    build_mds(12, 8),
+    FountainCode(8, seed=4, n=14),
+    polar_for_parity(8, 8, 0.05),
+    ExplicitXorCodec(8, [0, 0b1011, 0xFF]),
+], ids=["mds", "fountain", "polar", "explicit"])
+def test_recovery_rows_reject_rounds_outside_the_parity_limit(codec):
+    patterns = enumerate_patterns(8, 2, 0.05)
+    lost = [p.lost for p in patterns.patterns]
+    limit = codec.parity_limit
+    for rounds, message in ((-1, "rounds must be at least 0, got -1"),
+                            (limit + 1, f"rounds {limit + 1} exceed the parity limit {limit}")):
+        with pytest.raises(ValueError, match=message) as raised:
+            codec.recovery_rows(lost, rounds)
+        with pytest.raises(ValueError) as simulated:
+            simulate_incremental(codec, patterns, rounds=rounds)
+        assert str(raised.value) == str(simulated.value)
+
+
+@pytest.mark.parametrize("codec", [
+    build_mds(12, 8),
+    FountainCode(8, seed=4, n=14),
+    polar_for_parity(8, 8, 0.05),
+    ExplicitXorCodec(8, [0, 0b1011, 0b1011, 0, 0xFF, 0b1011, 0x80]),
+], ids=["mds", "fountain", "polar", "explicit"])
+def test_only_mds_simulates_without_the_oracle(codec, monkeypatch):
+    calls = []
+    oracle = codec.unrecovered_sources
+
+    def counted(received):
+        calls.append(sorted(received))
+        return oracle(received)
+
+    monkeypatch.setattr(codec, "unrecovered_sources", counted)
+    patterns = enumerate_patterns(8, 3, 0.05)
+    simulate_incremental(codec, patterns)
+    simulated, calls[:] = calls[:], []
+    reference_simulate_incremental(codec, patterns, codec.parity_limit)
+    # the other families ask the oracle exactly what the reference loop asks
+    assert simulated == ([] if isinstance(codec, MdsCode) else calls)
