@@ -210,6 +210,8 @@ class ExplicitXorCodec(ErasureCodec):
     def __init__(self, k: int, masks: Sequence[int]):
         super().__init__(k + len(masks), k)
         self.masks = tuple(m & ((1 << k) - 1) for m in masks)
+        # the sources each column xors, 1-based, walked once here for encode
+        self._picks = tuple(gf2.ones(m) for m in self.masks)
 
     @property
     def spec(self) -> CodeSpec:
@@ -221,7 +223,13 @@ class ExplicitXorCodec(ErasureCodec):
 
     def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
         ints = [int.from_bytes(s, "little") for s in source]
-        return [gf2.xor_rows(col, ints).to_bytes(size, "little") for col in self.masks[:p]]
+        out = []
+        for picks in self._picks[:p]:
+            acc = 0
+            for t in picks:
+                acc ^= ints[t - 1]
+            out.append(acc.to_bytes(size, "little"))
+        return out
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """Gaussian elimination over the received parity equations with the

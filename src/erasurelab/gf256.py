@@ -2,8 +2,10 @@
 
 The field uses the primitive polynomial x^8+x^4+x^3+x^2+1 (0x11D) with
 generator 2. Scalar arithmetic goes through log/antilog tables built at
-import; packet-sized operations use a full 256x256 product table with numpy
-so a block's parity costs one table gather per source packet.
+import; packet-sized operations use a full 256x256 product table with numpy.
+A matrix product gathers, for each source packet, one word of products per
+payload byte, so a block's parity costs one word-wide gather per source
+packet byte however many parity rows it has.
 """
 from __future__ import annotations
 
@@ -37,6 +39,8 @@ _nz = np.arange(1, 256)
 MUL_TABLE[1:, 1:] = _exp[(_log[_nz][:, None] + _log[_nz][None, :]) % 255]
 del _x, _i, _exp, _log, _nz
 
+_TABLE_BYTES = 1 << 20  # combine's product tables built at once: 20 source rows at r = 200
+
 
 def gf_inv(a: int) -> int:
     if a == 0:
@@ -55,12 +59,31 @@ def gf_pow(a: int, e: int) -> int:
 def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
     """GF(256) matrix product: xor coeffs @ rows into acc and return acc.
 
-    coeffs is (r, m), rows (m, size) and acc (r, size), all uint8. Each step
-    scales source row t by the whole column coeffs[:, t] in one table gather;
-    all-zero columns are skipped.
+    coeffs is (r, m), rows (m, size) and acc (r, size), all uint8. Source row
+    t gets a (256, r) table whose row b holds the r products b * coeffs[:, t],
+    padded to a word of 1, 2 or 4 bytes or a multiple of 8. One gather along
+    the payload then fetches all r products of each payload byte at once into
+    a transposed (size, word) accumulator, which is xored into acc at the end.
+    All-zero columns are skipped; tables are built _TABLE_BYTES at a time.
     """
-    for t in np.flatnonzero(coeffs.any(axis=0)):
-        acc ^= np.take(MUL_TABLE[coeffs[:, t]], rows[t], axis=1)
+    r = len(coeffs)
+    cols = np.flatnonzero(coeffs.any(axis=0))
+    if not len(cols):  # also r = 0, which has no word to pad to
+        return acc
+    width = r if r <= 2 else 4 if r <= 4 else -(-r // 8) * 8
+    word = np.dtype(f"u{min(width, 8)}")
+    total = np.zeros((rows.shape[1], width // word.itemsize), dtype=word)
+    scaled = np.empty_like(total)
+    step = max(1, _TABLE_BYTES // (256 * width))
+    for start in range(0, len(cols), step):
+        part = cols[start:start + step]
+        tables = np.zeros((len(part), 256, width), dtype=np.uint8)
+        # MUL_TABLE is symmetric: row c of it, read at b, is b * c
+        tables[:, :, :r] = MUL_TABLE[coeffs[:, part].T].transpose(0, 2, 1)
+        for table, row in zip(tables.view(word), rows[part].astype(np.intp)):
+            table.take(row, axis=0, out=scaled)
+            total ^= scaled
+    acc ^= total.view(np.uint8)[:, :r].T
     return acc
 
 
@@ -76,33 +99,28 @@ class Gf256Matrix:
         self.data = arr
 
     def invert(self) -> "Gf256Matrix | None":
-        """Gauss-Jordan inverse, or None when singular."""
+        """Gauss-Jordan inverse, or None when singular.
+
+        Runs on [a | I] as one array. Each step pivots on the first nonzero
+        entry at or below the diagonal, scales the pivot row to 1 there and
+        clears the column in every other row with one table gather.
+        """
         n, m = self.data.shape
         if n != m:
             raise ValueError("only square matrices can be inverted")
-        a = self.data.copy()
-        inv = np.eye(n, dtype=np.uint8)
+        aug = np.concatenate([self.data, np.eye(n, dtype=np.uint8)], axis=1)
         for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if a[r, col]:
-                    pivot = r
-                    break
-            if pivot is None:
+            pivot = col + int((aug[col:, col] != 0).argmax())
+            if not aug[pivot, col]:
                 return None
             if pivot != col:
-                a[[col, pivot]] = a[[pivot, col]]
-                inv[[col, pivot]] = inv[[pivot, col]]
-            scale = gf_inv(int(a[col, col]))
-            if scale != 1:
-                a[col] = MUL_TABLE[scale][a[col]]
-                inv[col] = MUL_TABLE[scale][inv[col]]
-            for r in range(n):
-                if r != col and a[r, col]:
-                    f = int(a[r, col])
-                    a[r] ^= MUL_TABLE[f][a[col]]
-                    inv[r] ^= MUL_TABLE[f][inv[col]]
-        return Gf256Matrix(inv)
+                aug[[col, pivot]] = aug[[pivot, col]]
+            # left of col the pivot row is already zero; the gather clears
+            # the pivot row too, and the scaled row goes back in after it
+            row = MUL_TABLE[gf_inv(int(aug[col, col])), aug[col, col:]]
+            aug[:, col:] ^= MUL_TABLE[aug[:, col, None], row]
+            aug[col, col:] = row
+        return Gf256Matrix(aug[:, n:])
 
     def __repr__(self) -> str:
         return f"Gf256Matrix({self.data.shape[0]}x{self.data.shape[1]})"

@@ -1,15 +1,17 @@
 """The systematic codec front that every family shares: malformed input to
 encode and decode raises the same ValueError in each of them, 0-byte
-packets encode and decode, and a family's spec rebuilds its codec."""
+packets encode and decode, a family's spec rebuilds its codec, and the xor
+encode equals the xor of the sources each parity column selects."""
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurelab import (CodeSpec, ExplicitXorCodec, FountainCode, build_codec, build_mds,
+from erasurelab import (CodeSpec, ExplicitXorCodec, FountainCode, build_codec, build_mds, gf2,
                         plr_empirical, polar_for_parity)
 
 # k = 4 source packets and a parity limit of 4 in every family
@@ -105,3 +107,32 @@ def test_explicit_codec_has_no_spec():
         codec.spec
     with pytest.raises(ValueError, match="belongs to no family"):
         plr_empirical(codec, 5, 3, 0.1, receivers=100)
+
+
+@st.composite
+def xor_codecs(draw):
+    """An explicit xor codec with zero, repeated and wider-than-k columns, a
+    fountain code or a polar code."""
+    family = draw(st.sampled_from(("explicit", "fountain", "polar")))
+    k = draw(st.integers(1, 40))
+    if family == "fountain":
+        return FountainCode(k, draw(st.integers(0, 2**64 - 1)), n=k + draw(st.integers(0, 12)))
+    if family == "polar":
+        return polar_for_parity(k, draw(st.integers(0, 12)), draw(st.floats(0.01, 0.99)))
+    # columns up to 3 bits wider than k: the codec keeps only the k source bits
+    masks = draw(st.lists(st.integers(0, (1 << (k + 3)) - 1), max_size=8))
+    masks += draw(st.lists(st.sampled_from([0, *masks]), max_size=4))
+    return ExplicitXorCodec(k, draw(st.permutations(masks)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec=xor_codecs(), data=st.data())
+def test_xor_encode_equals_the_selected_source_xor(codec, data):
+    size = data.draw(st.integers(0, 64))
+    p = data.draw(st.integers(0, codec.parity_limit))
+    gen = random.Random(data.draw(st.integers(0, 2**32)))
+    source = [gen.randbytes(size) for _ in range(codec.k)]
+    ints = [int.from_bytes(s, "little") for s in source]
+    parity = codec.encode(source, p)
+    assert parity == [gf2.xor_rows(codec.parity_mask(j), ints).to_bytes(size, "little")
+                      for j in range(1, p + 1)]

@@ -61,8 +61,6 @@ def reference_combine(coeffs, rows, acc: np.ndarray) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_combine_matches_reference_combine(data):
-    r, m, size = (data.draw(st.integers(0, 6)) for _ in range(3))
-
     def matrix(height, width):
         cells = data.draw(st.lists(st.integers(0, 255), min_size=height * width,
                                    max_size=height * width))
@@ -72,6 +70,8 @@ def test_combine_matches_reference_combine(data):
         return np.array(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)),
                         dtype=bool)
 
+    r = data.draw(st.integers(0, 10))
+    m, size = (data.draw(st.integers(0, 6)) for _ in range(2))
     coeffs, rows, acc = matrix(r, m), matrix(m, size), matrix(r, size)
     # all-zero coefficient rows and columns, which the matrix form skips
     coeffs[flags(r)] = 0
@@ -81,16 +81,100 @@ def test_combine_matches_reference_combine(data):
     assert acc.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17])
+@pytest.mark.parametrize("m", [1, 8, 36])
+@pytest.mark.parametrize("size", [0, 1, 1500])
+def test_combine_matches_reference_at_every_word_width(r, m, size):
+    # r crosses each padding of combine's product words: 1, 2, 4, 8 and 16 bytes
+    gen = np.random.default_rng(r * 10_000 + m * 100 + size)
+    rows = gen.integers(0, 256, (m, size), dtype=np.uint8)
+    # coeffs as the transposed view MdsCode._parity passes, with a zero column
+    coeffs = gen.integers(0, 256, (m, r), dtype=np.uint8).T
+    if m > 1:
+        coeffs[:, 0] = 0
+    # acc as a row slice of a larger block, as MdsCode._solve passes it
+    block = gen.integers(0, 256, (m + r + 1, size), dtype=np.uint8)
+    acc = block[m:m + r]
+    before = block.copy()
+    expect = reference_combine(coeffs, rows, acc.copy())
+    assert combine(coeffs, rows, acc) is acc
+    assert acc.tobytes() == expect.tobytes()
+    # the rows around the slice are untouched
+    assert block[:m].tobytes() == before[:m].tobytes()
+    assert block[m + r:].tobytes() == before[m + r:].tobytes()
+
+
+def reference_invert(matrix: Gf256Matrix) -> Gf256Matrix | None:
+    """Row-by-row Gauss-Jordan inverse, or None when singular: one scaled
+    row operation on a and the identity per nonzero entry."""
+    n, m = matrix.data.shape
+    if n != m:
+        raise ValueError("only square matrices can be inverted")
+    a = matrix.data.copy()
+    inv = np.eye(n, dtype=np.uint8)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if a[r, col]:
+                pivot = r
+                break
+        if pivot is None:
+            return None
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            inv[[col, pivot]] = inv[[pivot, col]]
+        scale = gf_inv(int(a[col, col]))
+        if scale != 1:
+            a[col] = MUL_TABLE[scale][a[col]]
+            inv[col] = MUL_TABLE[scale][inv[col]]
+        for r in range(n):
+            if r != col and a[r, col]:
+                f = int(a[r, col])
+                a[r] ^= MUL_TABLE[f][a[col]]
+                inv[r] ^= MUL_TABLE[f][inv[col]]
+    return Gf256Matrix(inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_invert_matches_reference_invert(data):
+    n = data.draw(st.integers(0, 12))
+    cells = data.draw(st.lists(st.integers(0, 255), min_size=n * n, max_size=n * n))
+    a = np.array(cells, dtype=np.uint8).reshape(n, n)
+    if n:
+        # singular inputs: a zero column, or a row repeated over another
+        for col in data.draw(st.sets(st.integers(0, n - 1), max_size=1)):
+            a[:, col] = 0
+        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                     st.integers(0, n - 1)), max_size=1)):
+            a[dst] = a[src]
+    data_before = a.tobytes()
+    got, want = Gf256Matrix(a).invert(), reference_invert(Gf256Matrix(a))
+    assert a.tobytes() == data_before
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.data.shape == (n, n)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_invert_rejects_non_square():
+    with pytest.raises(ValueError, match="^only square matrices can be inverted$"):
+        Gf256Matrix(np.zeros((2, 3), dtype=np.uint8)).invert()
+
+
 def test_matrix_inverse_round_trip():
     rnd = random.Random(77)
+    inverted = 0
     for _ in range(50):
-        n = rnd.randrange(1, 7)
+        n = rnd.randrange(1, 41)
         m = Gf256Matrix([[rnd.randrange(256) for _ in range(n)] for _ in range(n)])
         inv = m.invert()
         if inv is None:
             continue
+        inverted += 1
         product = combine(m.data, inv.data, np.zeros((n, n), dtype=np.uint8))
         assert (product == np.eye(n, dtype=np.uint8)).all()
+    assert inverted > 40  # a random n x n matrix over GF(256) is singular about 1 time in 255
 
 
 def test_generator_is_systematic():

@@ -21,6 +21,8 @@ from erasurelab.fountain import FountainCode
 from erasurelab.gf256 import MUL_TABLE, Gf256Matrix, MdsCode
 from erasurelab.polar import polar_for_parity
 
+from test_gf256 import reference_invert
+
 
 def reference_unrecovered(codec, received_indices) -> frozenset[int]:
     """Simple path: remap each parity column into a dense space of the
@@ -164,8 +166,8 @@ def reference_decode(codec, received) -> DecodeResult:
 def reference_mds_decode(codec, received) -> DecodeResult:
     """Simple path: with at least k packets, subtract the known sources from
     the lowest-numbered e parity packets one scaled packet at a time, invert
-    the e x e submatrix and apply it; with fewer, return the received
-    sources as they are."""
+    the e x e submatrix with reference_invert and apply it; with fewer,
+    return the received sources as they are."""
     packets = normalize_received(received, codec.n)
     known = {i: pkt for i, pkt in packets.items() if i <= codec.k}
     missing = [i for i in range(1, codec.k + 1) if i not in known]
@@ -183,8 +185,8 @@ def reference_mds_decode(codec, received) -> DecodeResult:
             if c:
                 acc ^= MUL_TABLE[c][np.frombuffer(pkt, dtype=np.uint8)]
         b.append(acc)
-    a_inv = Gf256Matrix([[int(codec.generator.data[m - 1, idx - 1]) for m in missing]
-                         for idx in use]).invert()
+    a_inv = reference_invert(Gf256Matrix([[int(codec.generator.data[m - 1, idx - 1])
+                                           for m in missing] for idx in use]))
     recovered = dict(known)
     for c, m in enumerate(missing):
         acc = np.zeros(size, dtype=np.uint8)
