@@ -6,9 +6,10 @@ is split across workers.
 
 Erasure masks are the hot path of the Monte-Carlo loss rate. Bit t of
 receiver r's mask depends on (seed, r, t) alone, so `erasure_masks` draws
-them in pieces of _PIECE receivers and mixes each packet's words in place in
-scratch buffers that fit the core's cache; the masks are bit-identical to
-`erasure_mask` applied one receiver at a time, for any piece size.
+them in pieces of _PIECE receivers, mixes each packet's words in place in
+scratch buffers that fit the core's cache and folds its loss bits into byte
+accumulators; the masks are bit-identical to `erasure_mask` applied one
+receiver at a time, for any piece size.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_PACKETS = 64  # packets per simulated block: one uint64 erasure mask each
-# receivers per erasure_masks piece: its three scratch buffers and its slice
-# of the output take 1 MiB, inside one core's 2 MiB L2 cache
+# receivers per erasure_masks piece: its scratch buffers and its slice of the
+# output take at most 1.3 MiB, inside one core's 2 MiB L2 cache
 _PIECE = 1 << 15
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -102,12 +103,16 @@ def erasure_masks(seed: int, first: int, count: int, packets: int, p_e: float) -
     `erasure_mask` applied one receiver at a time.
 
     Receivers are drawn in pieces of _PIECE, each packet's words mixed in
-    place in scratch buffers that stay in cache. The buffers belong to the
-    call, so threads may call this at once. Every word is still mix64 of its
-    own counter, so the split changes no bit.
+    place in scratch buffers that stay in cache. Its loss bits go into a bool
+    row, folded from the highest packet down into a uint8 row per 8 packets
+    (double, then or), and those rows are widened into the output once per
+    piece. The buffers belong to the call, so threads may call this at once.
+    Every word is still mix64 of its own counter, so the split changes no bit.
     """
     threshold = _threshold(first, count, packets, p_e)
     masks = np.zeros(count, dtype=np.uint64)
+    if threshold == 0:  # no word lies below 0
+        return masks
     if threshold >= 2**64:
         masks[:] = (1 << packets) - 1
         return masks
@@ -118,17 +123,23 @@ def erasure_masks(seed: int, first: int, count: int, packets: int, p_e: float) -
         # receiver first+lo+i's base counter is that of first+lo plus i steps
         steps = np.arange(size, dtype=np.uint64) * np.uint64(_GOLDEN)
     base, z, tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    lost = np.empty(size, dtype=bool)
+    acc = np.empty(((packets + 7) // 8, size), dtype=np.uint8)
     for lo in range(0, count, _PIECE):
         m = min(_PIECE, count - lo)
         if m < size:  # the last piece is shorter
-            steps, base, z, tmp = steps[:m], base[:m], z[:m], tmp[:m]
+            steps, base, z, tmp, lost, acc = steps[:m], base[:m], z[:m], tmp[:m], lost[:m], acc[:, :m]
         out = masks[lo:lo + m]
         np.add(steps, np.uint64((root + (first + lo + 1) * _GOLDEN) & MASK64), out=base)
         _mix64_into(base, tmp)
-        for t in range(packets):
+        acc.fill(0)
+        for t in reversed(range(packets)):
             np.add(base, np.uint64(((t + 1) * _GOLDEN) & MASK64), out=z)
             _mix64_into(z, tmp)
-            np.less(z, thr, out=tmp)
-            np.left_shift(tmp, np.uint64(t), out=tmp)
-            np.bitwise_or(out, tmp, out=out)
+            np.less(z, thr, out=lost)
+            byte = acc[t // 8]  # bit t % 8 of it once the lower packets are folded in
+            np.add(byte, byte, out=byte)
+            np.bitwise_or(byte, lost.view(np.uint8), out=byte)
+        for b, byte in enumerate(acc):
+            np.bitwise_or(out, np.left_shift(byte, np.uint64(8 * b), out=tmp), out=out)
     return masks

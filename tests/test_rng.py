@@ -1,6 +1,9 @@
 """Counter-based RNG: determinism, distribution sanity, vector equivalence."""
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,52 @@ def test_piece_boundaries_change_no_bit(monkeypatch):
                     assert got.dtype == np.uint64 and got.shape == (count,)
                     want = [rng.erasure_mask(9, first + i, packets, p_e) for i in range(count)]
                     assert got.tolist() == want, (first, count, packets, p_e)
+
+
+def test_accumulator_byte_boundaries_change_no_bit(monkeypatch):
+    # packet counts on either side of the 8-packet accumulator bytes, drawn in
+    # 7-receiver pieces so the short last piece slices every byte row
+    monkeypatch.setattr(rng, "_PIECE", 7)
+    for packets in (7, 8, 9, 15, 17, 56, 63, 64):
+        for first, count in ((0, 7), (5, 16), (2**40 + 3, 23)):
+            for p_e in (0.05, 0.5, 0.999):
+                got = rng.erasure_masks(4, first, count, packets, p_e)
+                want = [rng.erasure_mask(4, first + i, packets, p_e) for i in range(count)]
+                assert got.tolist() == want, (packets, first, count, p_e)
+
+
+def test_nothing_is_mixed_when_nothing_can_be_lost(monkeypatch):
+    def no_mix(z, tmp):
+        raise AssertionError("a draw with threshold 0 mixed words")
+
+    monkeypatch.setattr(rng, "_mix64_into", no_mix)
+    for p_e in (0.0, 2.0**-65):
+        got = rng.erasure_masks(3, 10, 1000, 64, p_e)
+        assert got.dtype == np.uint64 and got.shape == (1000,) and not got.any()
+
+
+def test_threads_draw_at_once_without_sharing_scratch():
+    # each call owns its buffers, so concurrent draws equal the serial ones
+    jobs = [(1, 0, 3 * rng._PIECE + 11, 40, 0.05), (1, 10**9, 2 * rng._PIECE + 5, 17, 0.3)]
+    serial = [rng.erasure_masks(*job) for job in jobs]
+    results = [[] for _ in jobs]
+
+    def draw(i):
+        for _ in range(3):
+            results[i].append(rng.erasure_masks(*jobs[i]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want.tobytes()] * 3 for want in serial]
 
 
 def test_full_size_draw_equals_the_whole_array_draw():
