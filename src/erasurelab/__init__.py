@@ -21,7 +21,7 @@ from .analytics import (
     plr_mds,
 )
 from .bench import BenchReport, bench_codec
-from .codec import CodeSpec, DecodeResult, ErasureCodec, ExplicitXorCodec, build_codec
+from .codec import DecodeResult, ErasureCodec, ExplicitXorCodec, build_codec
 from .fountain import FountainCode
 from .gf256 import MdsCode, build_mds
 from .multicast import enumerate_patterns, simulate_incremental, weighted_cdf
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchReport",
-    "CodeSpec",
     "ConstructionError",
     "DecodeResult",
     "ErasureCodec",

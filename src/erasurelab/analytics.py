@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .codec import FAMILIES, CodeSpec, build_codec
+from .codec import FAMILIES, build_codec
 
 DEFAULT_RECEIVERS = 50_000
 PARITY_SCAN_CAP = 128  # min_parity gives up past this many parity packets
@@ -180,9 +180,10 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     limit = codec.parity_limit
     if n - k > limit:
         raise ValueError(f"codec provides {limit} parity packets, n={n} needs {n - k}")
-    family = codec.spec.family  # before the draw: an explicit codec has no family
+    if codec.family is None:  # checked before the draw
+        raise ValueError(f"{type(codec).__name__} belongs to no family")
     lost = _lost_totals(codec, n, p_e, receivers, seed, workers)[-1]
-    return PlrReport(family=family, n=n, k=k, p_e=p_e,
+    return PlrReport(family=codec.family, n=n, k=k, p_e=p_e,
                      plr=lost / (receivers * k), method="mc", receivers=receivers, seed=seed)
 
 
@@ -200,7 +201,7 @@ def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, wor
         return
     p = 1
     while k + p <= rng.MAX_PACKETS:
-        codec = build_codec(CodeSpec(family="polar", n=k + p, k=k, epsilon=p_e))
+        codec = build_codec("polar", k + p, k, epsilon=p_e)
         block = codec.n
         n = min(block, rng.MAX_PACKETS)
         totals = _lost_totals(codec, n, p_e, receivers, seed, workers)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import rng
 from .analytics import OpCount, op_count
-from .codec import CodeSpec, build_codec
+from .codec import build_codec, check_code
 
 MIN_ITERATIONS = 100
 DEFAULT_WARMUP = 10
@@ -76,7 +76,7 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
     The decode side is the worst case for a systematic code: erasure_count
     losses (default min(p, k)), all of them source packets, repaired from parity.
     """
-    spec = CodeSpec(family=family, n=k + p, k=k, seed=seed)
+    check_code(family, k + p, k)
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"need at least {MIN_ITERATIONS} iterations")
     if erasure_count is None:
@@ -84,7 +84,7 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
     if not 0 <= erasure_count <= min(p, k):
         raise ValueError(f"erasure count {erasure_count} out of range")
 
-    codec = build_codec(spec)
+    codec = build_codec(family, k + p, k, seed=seed)
 
     gen = random.Random(rng.substream(seed, rng.STREAM_BENCH))
     source = [gen.randbytes(packet_size) for _ in range(k)]

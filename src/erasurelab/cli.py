@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import analytics, bench, multicast, rng
-from .codec import FAMILIES, CodeSpec, build_codec
+from .codec import FAMILIES, build_codec
 from .polar import polar_for_parity
 
 SCHEMA_VERSION = 1
@@ -70,6 +70,13 @@ def emit(rows: list[dict], fields: list[str], as_json: bool, csv_path: str | Non
     if as_json:
         show_json(command, {"rows": [{f: _json_value(row.get(f)) for f in fields}
                                      for row in rows]})
+
+
+def channel_epsilon(pe: float) -> dict:
+    """build_codec's epsilon for a channel of erasure probability pe: pe
+    itself, or build_codec's default at pe 0 or 1, where the loss does not
+    depend on the code and the polar construction would reject pe."""
+    return {} if pe in (0, 1) else {"epsilon": pe}
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -174,10 +181,7 @@ def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
         else:
             seed = resolve_seed(seed)
             rng.check_packets(n)  # before build_codec draws n - k fountain columns
-            spec = CodeSpec(family=family, n=n, k=k,
-                            seed=seed if family == "fountain" else None,
-                            epsilon=pe if family == "polar" else None)
-            codec = build_codec(spec)
+            codec = build_codec(family, n, k, seed=seed, **channel_epsilon(pe))
             report = analytics.plr_empirical(codec, n, k, pe, receivers=receivers,
                                              seed=seed, workers=workers)
     except ValueError as exc:
@@ -200,7 +204,7 @@ def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
 @click.option("--partial", is_flag=True, help="Credit partial repair instead of all-or-nothing.")
 @click.option("--seed", type=SEED, default=None, help="Fountain column seed.")
 @click.option("--epsilon", type=float, default=None,
-              help="Polar construction parameter (default: pe).")
+              help="Polar construction parameter (default: pe, or 0.05 at pe 0 or 1).")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write cdf.csv rows to this file.")
 @click.option("--json", "as_json", is_flag=True)
@@ -216,21 +220,20 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
         patterns = multicast.enumerate_patterns(k, emax, pe)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    eps = epsilon if epsilon is not None else pe
+    eps = {"epsilon": epsilon} if epsilon is not None else channel_epsilon(pe)
     rows = []
     polar = None  # fountain's parity budget is the polar reservoir's size
     try:
         for fam in fams:
             if fam == "mds":
-                codec = build_codec(CodeSpec(family="mds", n=k + emax, k=k))
+                codec = build_codec("mds", k + emax, k)
                 fam_rounds = rounds if rounds is not None else emax
             else:
-                polar = polar or build_codec(CodeSpec(family="polar", n=k + emax, k=k,
-                                                      epsilon=eps))
+                polar = polar or build_codec("polar", k + emax, k, **eps)
                 fam_rounds = rounds if rounds is not None else polar.parity_limit
                 # a negative --rounds is left to simulate_incremental to reject
                 codec = polar if fam == "polar" else build_codec(
-                    CodeSpec(family="fountain", n=k + max(fam_rounds, 0), k=k, seed=seed))
+                    "fountain", k + max(fam_rounds, 0), k, seed=seed)
             table = multicast.simulate_incremental(codec, patterns, rounds=fam_rounds)
             curve = multicast.weighted_cdf(table, patterns, partial=partial)
             for t, fraction in curve.points:

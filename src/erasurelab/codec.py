@@ -1,5 +1,6 @@
-"""Shared codec front: code descriptors, decode results, the ErasureCodec
-base class of every family, and the xor codec.
+"""Shared codec front: decode results, the ErasureCodec base class of every
+family, the xor codec and build_codec, which maps a family name to its
+constructor.
 
 All families present the same systematic wire format. Packet indices are
 1-based: 1..k are the source packets sent verbatim, k+j is parity packet j.
@@ -14,23 +15,6 @@ import numpy as np
 from . import gf2
 
 FAMILIES = ("mds", "fountain", "polar")
-
-
-@dataclass(frozen=True)
-class CodeSpec:
-    """Family-tagged code parameters."""
-
-    family: str
-    n: int
-    k: int
-    seed: int | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.k < 1 or self.n < self.k:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +57,10 @@ class ErasureCodec:
     `_recovery_rows` for `recovery_rows` defaults to one `unrecovered_sources`
     call per round; a family with a closed form overrides it.
 
-    `spec` describes the codec so that `build_codec(c.spec)` rebuilds its
-    parity columns, or it raises ValueError and says why."""
+    `family` names the family whose constructor build_codec maps it to, or is
+    None for a codec that belongs to no family."""
+
+    family: str | None = None
 
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
@@ -213,10 +199,6 @@ class ExplicitXorCodec(ErasureCodec):
         # the sources each column xors, 1-based, walked once here for encode
         self._picks = tuple(gf2.ones(m) for m in self.masks)
 
-    @property
-    def spec(self) -> CodeSpec:
-        raise ValueError("an explicit column list belongs to no family, so it has no CodeSpec")
-
     def parity_mask(self, j: int) -> int:
         self._check_parity_index(j)
         return self.masks[j - 1]
@@ -269,22 +251,32 @@ class ExplicitXorCodec(ErasureCodec):
         return gf2.unsolved_totals(self.masks[:p], lost, dropped, weights)
 
 
-def build_codec(spec: CodeSpec):
-    """Construct the codec described by a CodeSpec; the one place that maps
-    a family name to its constructor."""
-    if spec.family == "mds":
+def check_code(family: str, n: int, k: int) -> None:
+    """Reject an unknown family or a k outside 1..n, the checks build_codec
+    makes before it constructs anything."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
+def build_codec(family: str, n: int, k: int, *, seed: int | None = None,
+                epsilon: float = 0.05):
+    """Construct a codec of the family for k source packets in a block of n;
+    the one place that maps a family name to its constructor. Fountain
+    columns come from `seed`, the polar construction from `epsilon`; the
+    other families ignore them."""
+    check_code(family, n, k)
+    if family == "mds":
         from .gf256 import build_mds
 
-        return build_mds(spec.n, spec.k)
-    if spec.family == "fountain":
+        return build_mds(n, k)
+    if family == "fountain":
         from .fountain import FountainCode
 
-        if spec.seed is None:
+        if seed is None:
             raise ValueError("fountain codes require a seed")
-        return FountainCode(spec.k, spec.seed, n=spec.n)
-    if spec.family == "polar":
-        from .polar import polar_for_parity
+        return FountainCode(k, seed, n=n)
+    from .polar import polar_for_parity
 
-        epsilon = spec.epsilon if spec.epsilon is not None else 0.05
-        return polar_for_parity(spec.k, spec.n - spec.k, epsilon)
-    raise ValueError(f"unknown family {spec.family!r}")
+    return polar_for_parity(k, n - k, epsilon)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf2
-from .codec import CodeSpec, ErasureCodec
+from .codec import ErasureCodec
 
 PRIMITIVE_POLY = 0x11D
 FIELD_SIZE = 256
@@ -134,13 +134,11 @@ class MdsCode(ErasureCodec):
     received packets reconstruct the block.
     """
 
+    family = "mds"
+
     def __init__(self, n: int, k: int, generator: Gf256Matrix):
         super().__init__(n, k)
         self.generator = generator
-
-    @property
-    def spec(self) -> CodeSpec:
-        return CodeSpec(family="mds", n=self.n, k=self.k)
 
     def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
         # shapes stay explicit: reshape cannot infer a -1 axis from 0-byte packets

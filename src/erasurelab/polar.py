@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import gf2
-from .codec import CodeSpec, ExplicitXorCodec
+from .codec import ExplicitXorCodec
 
 BLOCK_CAP = 1 << 16  # polar_for_parity takes at most this many packets, k + p
 
@@ -81,6 +81,8 @@ class PolarCodec(ExplicitXorCodec):
     raises ConstructionError rather than producing a quietly wrong code.
     """
 
+    family = "polar"
+
     def __init__(self, levels: int, k: int, epsilon: float):
         info, frozen = channel_split(levels, k, epsilon)
         sub = [sum((1 << s) for s in range(k) if gf2.kernel_entry(info[t] - 1, info[s] - 1))
@@ -105,10 +107,6 @@ class PolarCodec(ExplicitXorCodec):
     def effective_degrees(self) -> list[int]:
         """Ones per reservoir column after the frozen rows are dropped."""
         return [mask.bit_count() for mask in self.masks]
-
-    @property
-    def spec(self) -> CodeSpec:
-        return CodeSpec(family="polar", n=self.n, k=self.k, epsilon=self.epsilon)
 
     def __repr__(self) -> str:
         return f"PolarCodec(n={self.n}, k={self.k}, epsilon={self.epsilon})"

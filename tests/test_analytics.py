@@ -24,7 +24,7 @@ from erasurelab.analytics import (
     plr_mds,
     systematic_erasures_pmf,
 )
-from erasurelab.codec import CodeSpec, build_codec
+from erasurelab.codec import build_codec
 from erasurelab.fountain import FountainCode
 from erasurelab.polar import polar_for_parity
 
@@ -219,7 +219,7 @@ def reference_min_parity_polar(k: int, p_e: float, target: float, receivers: int
         n = k + p
         if n > rng.MAX_PACKETS:
             return None
-        codec = build_codec(CodeSpec(family="polar", n=n, k=k, epsilon=p_e))
+        codec = build_codec("polar", n, k, epsilon=p_e)
         plr = plr_empirical(codec, n, k, p_e, receivers=receivers, seed=seed,
                             workers=workers).plr
         if plr <= target:

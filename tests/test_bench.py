@@ -1,6 +1,7 @@
 """Timing harness: shape of reports, verification behavior, scaling."""
 from __future__ import annotations
 
+import re
 import statistics
 
 import pytest
@@ -63,6 +64,15 @@ def test_erasure_count_validation():
         bench_codec("mds", 8, 4, iterations=10, seed=5)
     with pytest.raises(ValueError):
         bench_codec("nonsense", 8, 4, iterations=100, seed=5)
+
+
+@pytest.mark.parametrize("family, k, message", [
+    ("polar", 0, "need 1 <= k <= n, got k=0, n=2"),
+    ("bogus", 4, "unknown family 'bogus'"),
+])
+def test_code_checks_come_before_the_iteration_floor(family, k, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bench_codec(family, k, 2, iterations=1)
 
 
 def test_iteration_floor():

@@ -259,11 +259,30 @@ def test_multicast_negative_rounds_exits_2():
     assert "family,parity_sent" not in result.output
 
 
+@pytest.mark.parametrize("family", ["mds", "polar"])
 @pytest.mark.parametrize("pe", [0, 1])
-def test_multicast_zero_total_weight_exits_2(pe):
-    result = run("multicast", "--k", 4, "--pe", pe, "--emax", 2, "--families", "mds")
+def test_multicast_zero_total_weight_exits_2(pe, family):
+    # at pe 0 or 1 polar builds with the default epsilon, so it fails as MDS does
+    result = run("multicast", "--k", 4, "--pe", pe, "--emax", 2, "--families", family)
     assert result.exit_code == 2
     assert "zero total weight" in result.output
+
+
+@pytest.mark.parametrize("pe", [0, 0.1])
+def test_multicast_rejects_an_explicit_epsilon_of_0(pe):
+    result = run("multicast", "--k", 4, "--pe", pe, "--emax", 2, "--families", "polar",
+                 "--epsilon", 0)
+    assert result.exit_code == 2
+    assert "epsilon must be in (0, 1), got 0.0" in result.output
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("pe", [0, 1])
+def test_plr_mc_at_pe_0_or_1_reports_pe_for_every_family(family, pe):
+    result = run("plr", "--family", family, "--n", 8, "--k", 4, "--pe", pe,
+                 "--method", "mc", "--receivers", 1000, "--seed", 1)
+    assert result.exit_code == 0, result.output
+    assert f"\nplr: {pe}\n" in result.output
 
 
 def test_bench_csv_schema(tmp_path):

@@ -1,7 +1,7 @@
 """The systematic codec front that every family shares: malformed input to
 encode and decode raises the same ValueError in each of them, 0-byte
-packets encode and decode, a family's spec rebuilds its codec, and the xor
-encode equals the xor of the sources each parity column selects."""
+packets encode and decode, build_codec returns each family's own codec, and
+the xor encode equals the xor of the sources each parity column selects."""
 from __future__ import annotations
 
 import random
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurelab import (CodeSpec, ExplicitXorCodec, FountainCode, build_codec, build_mds, gf2,
+from erasurelab import (ExplicitXorCodec, FountainCode, build_codec, build_mds, gf2,
                         plr_empirical, polar_for_parity)
 
 # k = 4 source packets and a parity limit of 4 in every family
@@ -77,34 +77,55 @@ def test_mds_decode_with_fewer_parity_than_losses_recovers_nothing():
     assert out.unrecoverable == {1, 3, 4}
 
 
+# each family's own constructor, called with build_codec's (n, k, seed, epsilon)
+CONSTRUCTORS = {
+    "mds": lambda n, k, seed, epsilon: build_mds(n, k),
+    "fountain": lambda n, k, seed, epsilon: FountainCode(k, seed, n=n),
+    "polar": lambda n, k, seed, epsilon: polar_for_parity(k, n - k, epsilon),
+}
+
+
 @st.composite
-def specs(draw):
-    """A CodeSpec that build_codec accepts, for any of the three families."""
+def codes(draw):
+    """(family, n, k, seed, epsilon) that build_codec accepts, for any of the
+    three families."""
     family = draw(st.sampled_from(("mds", "fountain", "polar")))
     k = draw(st.integers(1, 40))
     n = k + draw(st.integers(0, 24))
-    return CodeSpec(family=family, n=n, k=k, seed=draw(st.integers(0, 2**64 - 1)),
-                    epsilon=draw(st.floats(0.01, 0.99)))
+    return family, n, k, draw(st.integers(0, 2**64 - 1)), draw(st.floats(0.01, 0.99))
 
 
 def _columns(codec):
-    return codec.generator.data.tobytes() if codec.spec.family == "mds" else codec.masks
+    return codec.generator.data.tobytes() if codec.family == "mds" else codec.masks
 
 
 @settings(max_examples=150, deadline=None)
-@given(spec=specs())
-def test_spec_rebuilds_the_codec(spec):
-    codec = build_codec(spec)
-    again = build_codec(codec.spec)
-    assert again.spec == codec.spec
-    assert (again.n, again.k, again.parity_limit) == (codec.n, codec.k, codec.n - codec.k)
-    assert _columns(again) == _columns(codec)
+@given(args=codes())
+def test_build_codec_returns_the_family_constructors_codec(args):
+    family, n, k, seed, epsilon = args
+    codec = build_codec(family, n, k, seed=seed, epsilon=epsilon)
+    own = CONSTRUCTORS[family](n, k, seed, epsilon)
+    assert type(codec) is type(own)
+    assert (codec.family, codec.n, codec.k) == (family, own.n, own.k)
+    assert codec.parity_limit == codec.n - codec.k
+    assert _columns(codec) == _columns(own)
 
 
-def test_explicit_codec_has_no_spec():
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("ldpc", 8, 4), {}, "unknown family 'ldpc'"),
+    (("polar", 8, 0), {}, "need 1 <= k <= n, got k=0, n=8"),
+    (("mds", 3, 4), {}, "need 1 <= k <= n, got k=4, n=3"),
+    (("fountain", 8, 4), {}, "fountain codes require a seed"),
+    (("ldpc", 3, 4), {"seed": 1}, "unknown family 'ldpc'"),  # the family first
+])
+def test_build_codec_rejects(args, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_codec(*args, **kwargs)
+
+
+def test_explicit_codec_has_no_family():
     codec = ExplicitXorCodec(3, [0b011, 0b110])
-    with pytest.raises(ValueError, match="belongs to no family"):
-        codec.spec
+    assert codec.family is None
     with pytest.raises(ValueError, match="belongs to no family"):
         plr_empirical(codec, 5, 3, 0.1, receivers=100)
 

@@ -124,11 +124,11 @@ def test_constructor_validation():
         FountainCode(4, seed=1, n=3)
 
 
-def test_spec_reports_seed():
+def test_reports_family_and_seed():
     code = FountainCode(4, seed=9, n=8)
-    assert code.spec.family == "fountain"
-    assert code.spec.seed == 9
-    assert (code.spec.n, code.spec.k) == (8, 4)
+    assert code.family == "fountain"
+    assert code.seed == 9
+    assert (code.n, code.k) == (8, 4)
 
 
 def test_columns_follow_the_seeded_stream():

@@ -306,7 +306,7 @@ def test_build_mds_parameter_limits():
     assert code.n == 256 and code.k == 128
 
 
-def test_spec_round_trip():
+def test_reports_family():
     code = build_mds(8, 4)
-    assert code.spec.family == "mds"
-    assert (code.spec.n, code.spec.k) == (8, 4)
+    assert code.family == "mds"
+    assert (code.n, code.k) == (8, 4)
