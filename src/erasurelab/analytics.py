@@ -160,11 +160,11 @@ def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
             totals = [a + b for a, b in zip(totals, codec.unrecovered_totals(masks, n, cnts))]
         return totals
 
+    workers = min(workers, -(-receivers // _BATCH))  # no more threads than batches
     bounds = [(receivers * w) // workers for w in range(workers + 1)]
-    ranges = [(bounds[w], bounds[w + 1] - bounds[w]) for w in range(workers)
-              if bounds[w + 1] > bounds[w]]
-    if len(ranges) == 1:
-        return run_range(*ranges[0])
+    ranges = [(bounds[w], bounds[w + 1] - bounds[w]) for w in range(workers)]
+    if workers == 1:
+        return run_range(0, receivers)
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         return [sum(col) for col in zip(*pool.map(lambda ab: run_range(*ab), ranges))]
 

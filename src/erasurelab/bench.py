@@ -83,6 +83,7 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
         erasure_count = min(p, k)
     if not 0 <= erasure_count <= min(p, k):
         raise ValueError(f"erasure count {erasure_count} out of range")
+    model = op_count(family, k, p, packet_size=packet_size)  # checks the size before any work
 
     codec = build_codec(family, k + p, k, seed=seed)
 
@@ -109,4 +110,4 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
                        decode=_timed(lambda: codec.decode(received), reference, "decode",
                                      iterations),
                        decode_complete=decode_complete,
-                       model=op_count(family, k, p, packet_size=packet_size))
+                       model=model)

@@ -73,9 +73,12 @@ def emit(rows: list[dict], fields: list[str], as_json: bool, csv_path: str | Non
 
 
 def channel_epsilon(pe: float) -> dict:
-    """build_codec's epsilon for a channel of erasure probability pe: pe
-    itself, or build_codec's default at pe 0 or 1, where the loss does not
-    depend on the code and the polar construction would reject pe."""
+    """build_codec's epsilon for a channel of erasure probability pe, checked
+    before any code is built: pe itself, or build_codec's default at pe 0 or
+    1, where the loss does not depend on the code and the polar construction
+    would reject pe."""
+    if not 0.0 <= pe <= 1.0:
+        raise ValueError(f"erasure probability must be in [0, 1], got {pe}")
     return {} if pe in (0, 1) else {"epsilon": pe}
 
 
@@ -87,9 +90,23 @@ def resolve_seed(seed: int | None) -> int:
     return seed
 
 
+class Command(click.Command):
+    """A subcommand whose library ValueError is a parameter error: exit 2
+    with the subcommand's usage line and the library's message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
 @click.group()
 def main():
     """Packet erasure coding laboratory."""
+
+
+main.command_class = Command  # before the subcommands below are declared
 
 
 @main.command()
@@ -100,10 +117,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="Also print a JSON object.")
 def construct(k, parity, epsilon, as_json):
     """Print a polar code construction: channel split, reservoir, degrees."""
-    try:
-        codec = polar_for_parity(k, parity, epsilon)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    codec = polar_for_parity(k, parity, epsilon)
     fields = {
         "family": "polar",
         "block_length": codec.n,
@@ -138,11 +152,8 @@ def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
         seed = resolve_seed(seed)
     else:
         seed = seed if seed is not None else 0
-    try:
-        plan = analytics.min_parity(family, k, pe, plr_target, receivers=receivers,
-                                    seed=seed, workers=workers)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    plan = analytics.min_parity(family, k, pe, plr_target, receivers=receivers,
+                                seed=seed, workers=workers)
     if plan is None:
         click.echo(f"target {fmt(plr_target)} unreachable for family {family} "
                    f"at k={k}, pe={fmt(pe)}", err=True)
@@ -169,23 +180,19 @@ def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
     """Residual packet loss rate of one code on one channel."""
-    try:
-        if method == "analytic":
-            if family == "mds":
-                report = analytics.plr_mds(n, k, pe)
-            elif family == "fountain":
-                report = analytics.plr_fountain(n, k, pe)
-            else:
-                raise click.UsageError(
-                    "polar has no closed-form loss rate; use --method mc")
+    if method == "analytic":
+        if family == "mds":
+            report = analytics.plr_mds(n, k, pe)
+        elif family == "fountain":
+            report = analytics.plr_fountain(n, k, pe)
         else:
-            seed = resolve_seed(seed)
-            rng.check_packets(n)  # before build_codec draws n - k fountain columns
-            codec = build_codec(family, n, k, seed=seed, **channel_epsilon(pe))
-            report = analytics.plr_empirical(codec, n, k, pe, receivers=receivers,
-                                             seed=seed, workers=workers)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+            raise click.UsageError("polar has no closed-form loss rate; use --method mc")
+    else:
+        seed = resolve_seed(seed)
+        rng.check_packets(n)  # before build_codec draws n - k fountain columns
+        codec = build_codec(family, n, k, seed=seed, **channel_epsilon(pe))
+        report = analytics.plr_empirical(codec, n, k, pe, receivers=receivers,
+                                         seed=seed, workers=workers)
     row = {"family": report.family, "n": report.n, "k": report.k, "pe": report.p_e,
            "method": report.method, "receivers": report.receivers,
            "seed": report.seed, "plr": report.plr}
@@ -216,30 +223,24 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
         raise click.UsageError(f"unknown families: {','.join(bad) or families!r}")
     if "fountain" in fams:
         seed = resolve_seed(seed)
-    try:
-        patterns = multicast.enumerate_patterns(k, emax, pe)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    patterns = multicast.enumerate_patterns(k, emax, pe)
     eps = {"epsilon": epsilon} if epsilon is not None else channel_epsilon(pe)
     rows = []
     polar = None  # fountain's parity budget is the polar reservoir's size
-    try:
-        for fam in fams:
-            if fam == "mds":
-                codec = build_codec("mds", k + emax, k)
-                fam_rounds = rounds if rounds is not None else emax
-            else:
-                polar = polar or build_codec("polar", k + emax, k, **eps)
-                fam_rounds = rounds if rounds is not None else polar.parity_limit
-                # a negative --rounds is left to simulate_incremental to reject
-                codec = polar if fam == "polar" else build_codec(
-                    "fountain", k + max(fam_rounds, 0), k, seed=seed)
-            table = multicast.simulate_incremental(codec, patterns, rounds=fam_rounds)
-            curve = multicast.weighted_cdf(table, patterns, partial=partial)
-            for t, fraction in curve.points:
-                rows.append({"family": fam, "parity_sent": t, "weighted_fraction": fraction})
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    for fam in fams:
+        if fam == "mds":
+            codec = build_codec("mds", k + emax, k)
+            fam_rounds = rounds if rounds is not None else emax
+        else:
+            polar = polar or build_codec("polar", k + emax, k, **eps)
+            fam_rounds = rounds if rounds is not None else polar.parity_limit
+            # a negative --rounds is left to simulate_incremental to reject
+            codec = polar if fam == "polar" else build_codec(
+                "fountain", k + max(fam_rounds, 0), k, seed=seed)
+        table = multicast.simulate_incremental(codec, patterns, rounds=fam_rounds)
+        curve = multicast.weighted_cdf(table, patterns, partial=partial)
+        for t, fraction in curve.points:
+            rows.append({"family": fam, "parity_sent": t, "weighted_fraction": fraction})
     click.echo(",".join(CDF_FIELDS))
     for row in rows:
         click.echo(f"{row['family']},{row['parity_sent']},{fmt(row['weighted_fraction'])}")
@@ -262,11 +263,8 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
 def bench_cmd(family, k, parity, erasures, size, iters, seed, as_json, csv_path):
     """Median encode/decode time of one configuration."""
     seed = resolve_seed(seed)
-    try:
-        report = bench.bench_codec(family, k, parity, packet_size=size,
-                                   erasure_count=erasures, iterations=iters, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    report = bench.bench_codec(family, k, parity, packet_size=size,
+                               erasure_count=erasures, iterations=iters, seed=seed)
     fields = {"family": report.family, "k": report.k, "parity": report.p,
               "erasures": report.erasure_count, "size": report.packet_size,
               "iterations": report.iterations, "encode_ns_med": report.encode.median_ns,

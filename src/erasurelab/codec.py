@@ -224,14 +224,8 @@ class ExplicitXorCodec(ErasureCodec):
         masks = self.masks
         rows = gf2.reduce_augmented([masks[j - 1] | 1 << (k + e) for e, j in enumerate(js)],
                                     missing)
-        plans = [(unit, r ^ unit) for r in rows if (unit := r & missing).bit_count() == 1]
-        n = len(block)
-        width = (n + 7) // 8
-        picks = np.array([pick.to_bytes(width, "little") for _, pick in plans], dtype=f"S{width}")
-        picks = np.unpackbits(picks.view(np.uint8).reshape(len(plans), width),
-                              axis=1, count=n, bitorder="little").view(bool)
-        return {unit.bit_length(): np.bitwise_xor.reduce(block[pick])
-                for (unit, _), pick in zip(plans, picks)}
+        return {unit.bit_length(): np.bitwise_xor.reduce(block[[t - 1 for t in gf2.ones(r ^ unit)]])
+                for r in rows if (unit := r & missing).bit_count() == 1}
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
         m = 0
@@ -243,7 +237,7 @@ class ExplicitXorCodec(ErasureCodec):
         for row in gf2.reduce_echelon([masks[j - 1] & m for j in parity]):
             if row.bit_count() == 1:
                 pinned |= row
-        return frozenset(i for i in missing if not pinned >> (i - 1) & 1) if pinned else missing
+        return missing.difference(gf2.ones(pinned))
 
     def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
                          weights: np.ndarray) -> list[int]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurelab import build_mds, gf2, rng
+from erasurelab import analytics, build_mds, gf2, rng
 from erasurelab.analytics import (
     PARITY_SCAN_CAP,
     ParityPlan,
@@ -144,7 +144,9 @@ def test_empirical_matches_analytic_mds():
     assert abs(measured - analytic) < 2e-4
 
 
-def test_empirical_worker_count_invariance():
+def test_empirical_worker_count_invariance(monkeypatch):
+    # eight batches, so every worker count runs that many threads
+    monkeypatch.setattr(analytics, "_BATCH", 4096)
     codec = polar_for_parity(8, 8, 0.05)
     reports = [plr_empirical(codec, 16, 8, 0.05, receivers=30000, seed=5, workers=w)
                for w in (1, 2, 3, 8)]
@@ -240,7 +242,9 @@ def reference_min_parity_polar(k: int, p_e: float, target: float, receivers: int
     (60, 0.3, 1e-7, 500, 1),  # None at the 64-packet cap
     (8, 0.01, 0.05, 5_000, 0),  # p=0 meets the target
 ])
-def test_min_parity_polar_equals_the_per_parity_scan(k, p_e, target, receivers, seed, workers):
+def test_min_parity_polar_equals_the_per_parity_scan(monkeypatch, k, p_e, target, receivers,
+                                                     seed, workers):
+    monkeypatch.setattr(analytics, "_BATCH", 256)  # so two workers run two threads
     want = reference_min_parity_polar(k, p_e, target, receivers, seed, workers)
     got = min_parity("polar", k, p_e, target, receivers=receivers, seed=seed, workers=workers)
     assert got == want
@@ -312,7 +316,8 @@ def test_min_parity_polar_stops_at_the_simulated_block_cap():
     assert min_parity("polar", 60, 0.3, 1e-7, receivers=500, seed=1) is None
 
 
-def test_empirical_leaves_no_state_on_the_codec():
+def test_empirical_leaves_no_state_on_the_codec(monkeypatch):
+    monkeypatch.setattr(analytics, "_BATCH", 625)  # eight batches for eight workers
     codec = polar_for_parity(8, 4, 0.05)
     before = dict(vars(codec))
     first = plr_empirical(codec, 12, 8, 0.05, receivers=5000, seed=2)
@@ -328,7 +333,8 @@ def test_empirical_leaves_no_state_on_the_codec():
     assert vars(codec) == before
 
 
-def test_empirical_loss_total_equals_the_oracle_total():
+def test_empirical_loss_total_equals_the_oracle_total(monkeypatch):
+    monkeypatch.setattr(analytics, "_BATCH", 1 << 15)
     n, k, p_e, receivers = 16, 12, 0.05, 300_000
     codec = polar_for_parity(k, n - k, p_e)
     full = (1 << n) - 1
@@ -339,7 +345,7 @@ def test_empirical_loss_total_equals_the_oracle_total():
         return sum(len(codec.unrecovered_sources(gf2.ones(~m & full))) * c
                    for m, c in zip(masks.tolist(), cnts.tolist()))
 
-    # 300,000 receivers span two batches at one worker; eight worker threads
+    # 300,000 receivers span ten batches at one worker; eight worker threads
     # switching often each count their own range
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -368,6 +374,31 @@ def test_lost_totals_are_pinned_for_every_family():
         for workers in (1, 2):
             assert _lost_totals(codec, 16, 0.05, 300_000, 0, workers) == want[family], \
                 (family, workers)
+
+
+def test_lost_totals_start_no_more_threads_than_batches(monkeypatch):
+    # 300,000 receivers fill two batches, so a thousand workers get two threads
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    codec = polar_for_parity(12, 4, 0.05)
+    want = plr_empirical(codec, 16, 12, 0.05, receivers=300_000, seed=0, workers=1)
+    monkeypatch.setattr(analytics, "ThreadPoolExecutor", SerialPool)
+    got = plr_empirical(codec, 16, 12, 0.05, receivers=300_000, seed=0, workers=1000)
+    assert started and max(started) <= 2
+    assert got.plr == want.plr
 
 
 def test_empirical_at_channel_extremes():

@@ -75,5 +75,15 @@ def test_code_checks_come_before_the_iteration_floor(family, k, message):
         bench_codec(family, k, 2, iterations=1)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_packet_size_is_checked_before_any_work(monkeypatch, size):
+    def build_codec(*args, **kwargs):
+        raise AssertionError("bench_codec built a codec")
+
+    monkeypatch.setattr(bench, "build_codec", build_codec)
+    with pytest.raises(ValueError, match="^packet size and word width must be positive$"):
+        bench_codec("mds", 4, 2, packet_size=size, seed=1)
+
+
 def test_iteration_floor():
     assert bench.MIN_ITERATIONS >= 100

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from erasurelab import polar
+from erasurelab import analytics, cli, polar
 from erasurelab.cli import main
 from erasurelab.codec import FAMILIES
 
@@ -184,7 +184,9 @@ def test_plr_mc_prints_seed_when_omitted():
     assert result.output.startswith("seed: ")
 
 
-def test_plr_mc_deterministic_across_runs_and_workers():
+def test_plr_mc_deterministic_across_runs_and_workers(monkeypatch):
+    # five batches, so five workers run five threads
+    monkeypatch.setattr(analytics, "_BATCH", 4096)
     args = ["plr", "--family", "polar", "--n", 16, "--k", 8, "--pe", 0.05,
             "--method", "mc", "--receivers", 20000, "--seed", 11]
     first = run(*args, "--workers", 1)
@@ -283,6 +285,45 @@ def test_plr_mc_at_pe_0_or_1_reports_pe_for_every_family(family, pe):
                  "--method", "mc", "--receivers", 1000, "--seed", 1)
     assert result.exit_code == 0, result.output
     assert f"\nplr: {pe}\n" in result.output
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("pe", ["1.5", "-0.1", "nan"])
+def test_plr_mc_rejects_pe_outside_0_1_before_building_the_code(monkeypatch, family, pe):
+    # else polar's construction would reject pe as epsilon, which plr has no option for
+    def build_codec(*args, **kwargs):
+        raise AssertionError("plr built a code")
+
+    monkeypatch.setattr(cli, "build_codec", build_codec)
+    result = run("plr", "--family", family, "--n", 8, "--k", 4, "--pe", pe,
+                 "--method", "mc", "--seed", 1)
+    assert result.exit_code == 2
+    assert result.output.endswith(f"\nError: erasure probability must be in [0, 1], got {pe}\n")
+
+
+# one failing call per subcommand, with the library's message
+LIBRARY_ERRORS = {
+    "construct": (("--k", 8, "--parity", 4, "--epsilon", 1.5),
+                  "epsilon must be in (0, 1), got 1.5"),
+    "plan": (("--family", "mds", "--k", 8, "--pe", 0.1, "--plr-target", 2),
+             "loss target must be in (0, 1), got 2.0"),
+    "plr": (("--family", "mds", "--n", 8, "--k", 4, "--pe", 1.5),
+            "erasure probability must be in [0, 1], got 1.5"),
+    "multicast": (("--k", 4, "--pe", 0.1, "--emax", 9), "need 1 <= e_max <= k, got e_max=9"),
+    "bench": (("--family", "mds", "--k", 4, "--parity", 2, "--erasures", 3, "--seed", 1),
+              "erasure count 3 out of range"),
+}
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_ERRORS))
+def test_library_error_prints_the_subcommands_usage_and_exits_2(command):
+    # a catch at the group would print the group's usage line instead
+    args, message = LIBRARY_ERRORS[command]
+    result = run(command, *args)
+    assert result.exit_code == 2
+    assert result.output == (f"Usage: main {command} [OPTIONS]\n"
+                             f"Try 'main {command} --help' for help.\n\n"
+                             f"Error: {message}\n")
 
 
 def test_bench_csv_schema(tmp_path):

@@ -300,6 +300,45 @@ def test_decode_matches_reference_decode(data):
             == _decoded(lambda r: reference(codec, r), received))
 
 
+def _wide_explicit() -> ExplicitXorCodec:
+    gen = random.Random(70)
+    columns = [gen.getrandbits(70) for _ in range(16)]
+    return ExplicitXorCodec(70, columns + [0, 0] + columns[:4])  # zero and repeated columns
+
+
+# blocks past 64 packets, where a decode plan spans several words
+WIDE_CODECS = {
+    "fountain": lambda: FountainCode(90, 11, n=130),
+    "polar": lambda: polar_for_parity(100, 28, 0.05),  # a 128-packet block
+    "explicit": _wide_explicit,
+}
+
+
+@pytest.mark.parametrize("family", sorted(WIDE_CODECS))
+def test_decode_past_one_word_matches_reference_decode(family):
+    codec = WIDE_CODECS[family]()
+    k = codec.k
+    p = codec.parity_limit
+    assert codec.n > 64
+    gen = random.Random(family)
+    solved = 0
+    for trial in range(12):
+        size = (0, 1, 100, 1500)[trial % 4]
+        source = [gen.randbytes(size) for _ in range(k)]
+        packets = dict(enumerate(source + codec.encode(source, p), start=1))
+        lost = set(gen.sample(range(1, k + 1), gen.randint(1, p)))
+        dropped = set(gen.sample(range(k + 1, k + p + 1), gen.randint(0, 3)))
+        corrupt = set(gen.sample(range(k + 1, k + p + 1), 2)) if trial % 3 == 2 else set()
+        received = [(i, gen.randbytes(size) if i in corrupt else pkt)
+                    for i, pkt in packets.items() if i not in lost | dropped]
+        gen.shuffle(received)
+        got = _decoded(codec.decode, received)
+        assert got == _decoded(lambda r: reference_decode(codec, r), received)
+        assert got[1] == codec.unrecovered_sources(i for i, _ in received)
+        solved += len(lost) - len(got[1])
+    assert solved > 0  # xor plans ran
+
+
 # k = 4 source packets and a parity limit of 4 in every family
 FRONT_CODECS = {
     "explicit": lambda: ExplicitXorCodec(4, [0b0011, 0b0110, 0b1100, 0b1001]),
