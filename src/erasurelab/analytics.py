@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import rng
+from . import gf256, rng
 from .codec import FAMILIES, build_codec
 
 DEFAULT_RECEIVERS = 50_000
@@ -135,6 +135,10 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
     return PlrReport(family="fountain", n=n, k=k, p_e=p_e, plr=plr, method="analytic")
 
 
+# the families with a closed-form loss rate, each with its function; polar has none
+ANALYTIC_PLR = {"mds": plr_mds, "fountain": plr_fountain}
+
+
 def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
                  workers: int) -> list[int]:
     """Entry j, for j = 0..n-k: the lost source packets summed over the
@@ -189,13 +193,13 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
 
 def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, workers: int):
     """(p, loss rate, block length) for p = 1, 2, ... up to the family's
-    limit. MDS and fountain give their analytic rate and no block length, MDS
-    while k+p fits the 256 elements of GF(256); polar gives the Monte-Carlo
-    rate and the block it ran on while k+p fits rng.MAX_PACKETS, from one
-    codec and one _lost_totals pass per block length."""
-    if family != "polar":
-        analytic, top = {"mds": (plr_mds, min(PARITY_SCAN_CAP, 256 - k)),
-                         "fountain": (plr_fountain, PARITY_SCAN_CAP)}[family]
+    limit. The ANALYTIC_PLR families give their analytic rate and no block
+    length, MDS while k+p fits the elements of GF(256); polar gives the
+    Monte-Carlo rate and the block it ran on while k+p fits rng.MAX_PACKETS,
+    from one codec and one _lost_totals pass per block length."""
+    analytic = ANALYTIC_PLR.get(family)
+    if analytic:
+        top = min(PARITY_SCAN_CAP, gf256.FIELD_SIZE - k) if family == "mds" else PARITY_SCAN_CAP
         for p in range(1, top + 1):
             yield p, analytic(k + p, k, p_e).plr, None
         return

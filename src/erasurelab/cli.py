@@ -148,10 +148,7 @@ def construct(k, parity, epsilon, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
     """Smallest parity count meeting a loss target."""
-    if family == "polar":
-        seed = resolve_seed(seed)
-    else:
-        seed = seed if seed is not None else 0
+    seed = (seed or 0) if family in analytics.ANALYTIC_PLR else resolve_seed(seed)
     plan = analytics.min_parity(family, k, pe, plr_target, receivers=receivers,
                                 seed=seed, workers=workers)
     if plan is None:
@@ -181,12 +178,9 @@ def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
 def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
     """Residual packet loss rate of one code on one channel."""
     if method == "analytic":
-        if family == "mds":
-            report = analytics.plr_mds(n, k, pe)
-        elif family == "fountain":
-            report = analytics.plr_fountain(n, k, pe)
-        else:
-            raise click.UsageError("polar has no closed-form loss rate; use --method mc")
+        if family not in analytics.ANALYTIC_PLR:
+            raise click.UsageError(f"{family} has no closed-form loss rate; use --method mc")
+        report = analytics.ANALYTIC_PLR[family](n, k, pe)
     else:
         seed = resolve_seed(seed)
         rng.check_packets(n)  # before build_codec draws n - k fountain columns

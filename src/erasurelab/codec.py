@@ -150,11 +150,14 @@ class ErasureCodec:
     def recovery_rows(self, lost: Sequence[frozenset], rounds: int) -> tuple[tuple[int, ...], ...]:
         """Row i, entry t for t = 0..rounds: how many sources of the set
         lost[i] are recovered once every other source and parity packets
-        1..t have arrived."""
+        1..t have arrived. A set with an index outside the sources 1..k raises."""
         if rounds < 0:
             raise ValueError(f"rounds must be at least 0, got {rounds}")
         if rounds > self.parity_limit:
             raise ValueError(f"rounds {rounds} exceed the parity limit {self.parity_limit}")
+        for pattern in lost:
+            if not self._sources.issuperset(pattern):
+                raise ValueError(f"lost set {sorted(pattern)} holds an index outside 1..{self.k}")
         return self._recovery_rows(lost, rounds)
 
     def _recovery_rows(self, lost: Sequence[frozenset], rounds: int) -> tuple[tuple[int, ...], ...]:

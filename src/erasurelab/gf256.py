@@ -1,11 +1,11 @@
 """GF(2^8) arithmetic and the systematic Vandermonde erasure code.
 
 The field uses the primitive polynomial x^8+x^4+x^3+x^2+1 (0x11D) with
-generator 2. Scalar arithmetic goes through log/antilog tables built at
-import; packet-sized operations use a full 256x256 product table with numpy.
-A matrix product gathers, for each source packet, one word of products per
-payload byte, so a block's parity costs one word-wide gather per source
-packet byte however many parity rows it has.
+generator 2. All arithmetic goes through one 256x256 product table built at
+import, and the row of inverses read from it. A matrix product gathers, for
+each source packet, one word of products per payload byte, so a block's
+parity costs one word-wide gather per source packet byte however many parity
+rows it has.
 """
 from __future__ import annotations
 
@@ -19,25 +19,21 @@ from .codec import ErasureCodec
 PRIMITIVE_POLY = 0x11D
 FIELD_SIZE = 256
 
-GF_EXP = [0] * 512
-GF_LOG = [0] * 256
+# the generator's powers g^0..g^509 and the logs of the nonzero elements live
+# only while the table is built: log a + log b < 510 needs no reduction mod 255
+_exp = np.empty(510, dtype=np.uint8)
+_log = np.empty(256, dtype=np.intp)
 _x = 1
 for _i in range(255):
-    GF_EXP[_i] = _x
-    GF_LOG[_x] = _i
-    _x <<= 1
-    if _x & 0x100:
-        _x ^= PRIMITIVE_POLY
-for _i in range(255, 512):
-    GF_EXP[_i] = GF_EXP[_i - 255]
-
+    _exp[_i] = _exp[_i + 255] = _x
+    _log[_x] = _i
+    _x = (_x << 1) ^ (PRIMITIVE_POLY if _x & 0x80 else 0)
 # MUL_TABLE[a, b] = a*b in the field; row a doubles as the "scale by a" lookup
-_exp = np.array(GF_EXP[:255], dtype=np.uint8)
-_log = np.array(GF_LOG, dtype=np.int64)
 MUL_TABLE = np.zeros((256, 256), dtype=np.uint8)
-_nz = np.arange(1, 256)
-MUL_TABLE[1:, 1:] = _exp[(_log[_nz][:, None] + _log[_nz][None, :]) % 255]
-del _x, _i, _exp, _log, _nz
+MUL_TABLE[1:, 1:] = _exp[_log[1:, None] + _log[None, 1:]]
+del _x, _i, _exp, _log
+# _INVERSE[a] * a = 1 for a != 0; row 0 of MUL_TABLE holds no 1, so _INVERSE[0] = 0
+_INVERSE = (MUL_TABLE == 1).argmax(axis=1).astype(np.uint8)
 
 _TABLE_BYTES = 1 << 20  # combine's product tables built at once: 20 source rows at r = 200
 
@@ -45,15 +41,7 @@ _TABLE_BYTES = 1 << 20  # combine's product tables built at once: 20 source rows
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("no inverse of 0")
-    return GF_EXP[255 - GF_LOG[a]]
-
-
-def gf_pow(a: int, e: int) -> int:
-    if e == 0:
-        return 1
-    if a == 0:
-        return 0
-    return GF_EXP[(GF_LOG[a] * e) % 255]
+    return int(_INVERSE[a])
 
 
 def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -117,7 +105,7 @@ class Gf256Matrix:
                 aug[[col, pivot]] = aug[[pivot, col]]
             # left of col the pivot row is already zero; the gather clears
             # the pivot row too, and the scaled row goes back in after it
-            row = MUL_TABLE[gf_inv(int(aug[col, col])), aug[col, col:]]
+            row = MUL_TABLE[_INVERSE[aug[col, col]], aug[col, col:]]
             aug[:, col:] ^= MUL_TABLE[aug[:, col, None], row]
             aug[col, col:] = row
         return Gf256Matrix(aug[:, n:])
@@ -203,9 +191,14 @@ def build_mds(n: int, k: int) -> MdsCode:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n > FIELD_SIZE:
         raise ValueError(f"n={n} exceeds the field size {FIELD_SIZE}")
-    points = [0] + [gf_pow(2, j) for j in range(n - 1)]
+    # points 0, 1, g, g^2, ...: each pass appends the powers so far times the next power
+    points = np.array([0, 1], dtype=np.uint8)
+    while len(points) < n:
+        points = np.append(points, MUL_TABLE[MUL_TABLE[points[-1], 2], points[1:]])
     # row i holds the points raised to the power i, with 0**0 = 1
-    v = np.array([[gf_pow(x, i) for x in points] for i in range(k)], dtype=np.uint8)
+    v = np.ones((k, n), dtype=np.uint8)
+    for i in range(1, k):
+        v[i] = MUL_TABLE[v[i - 1], points[:n]]
     left_inv = Gf256Matrix(v[:, :k]).invert()
     if left_inv is None:
         raise AssertionError("Vandermonde block on distinct points cannot be singular")

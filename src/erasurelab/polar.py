@@ -60,9 +60,7 @@ def channel_split(levels: int, k: int, epsilon: float) -> tuple[tuple[int, ...],
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < 2**levels, got k={k}, n={n}")
     order = quality_order(bhattacharyya(levels, epsilon))
-    info = tuple(order[:k])
-    frozen = tuple(reversed(order[k:]))
-    return info, frozen
+    return tuple(order[:k]), tuple(reversed(order[k:]))
 
 
 class PolarCodec(ExplicitXorCodec):

@@ -145,6 +145,7 @@ def test_plr_analytic_polar_rejected():
     result = run("plr", "--family", "polar", "--n", 16, "--k", 8, "--pe", 0.05,
                  "--method", "analytic")
     assert result.exit_code == 2
+    assert result.output.endswith("Error: polar has no closed-form loss rate; use --method mc\n")
 
 
 def test_plr_bad_shape_exits_2():

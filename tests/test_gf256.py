@@ -186,6 +186,11 @@ def test_generator_is_systematic():
 # sha256 of the generator bytes: the coefficients every MDS parity packet is
 # built from, so any change to them changes the wire format
 GENERATOR_SHA256 = {
+    # the edge shapes: one point, no parity, and the whole field
+    (1, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (2, 1): "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",
+    (256, 1): "2661920f2409dd6c8adeb0c44972959f232b6429afa913845d0fd95e7e768234",
+    (256, 256): "2e5eaaf60666da7c60caf6afa37af3146063bd72f815eeb97d0db7816c5b5d19",
     (3, 2): "a39a44c3efa9a93db02e905faa3c73de587bb50f032994c8d7c72f12f4ab1ebe",
     (16, 12): "36fbe37c304d66eff869459aa75346aa570ab2551db4477fae8a94f0b43e0afa",
     (44, 36): "8401165cca7592b33771c22b651cfd14bee0ca847078f0076f6ed9035fdc73fa",

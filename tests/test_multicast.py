@@ -231,6 +231,20 @@ def test_recovery_rows_reject_rounds_outside_the_parity_limit(codec):
 
 
 @pytest.mark.parametrize("codec", [
+    build_mds(8, 4),
+    FountainCode(4, seed=4, n=8),
+    polar_for_parity(4, 4, 0.05),
+], ids=["mds", "fountain", "polar"])
+def test_recovery_rows_reject_sets_outside_the_sources(codec):
+    k = codec.k
+    # the sources at both ends are accepted
+    assert len(codec.recovery_rows([frozenset({1, k})], 2)) == 1
+    for pattern in ({0}, {k + 1}, {2, k + 3}):
+        with pytest.raises(ValueError, match=rf"^lost set \[.*\] holds an index outside 1\.\.{k}$"):
+            codec.recovery_rows([frozenset({1}), frozenset(pattern)], 2)
+
+
+@pytest.mark.parametrize("codec", [
     build_mds(12, 8),
     FountainCode(8, seed=4, n=14),
     polar_for_parity(8, 8, 0.05),
