@@ -53,9 +53,10 @@ class ErasureCodec:
     split into sources and parity of every operation, decode's packet block
     and the drop of masks that lose no source; families supply only `_parity`
     for `encode`, `_solve(block, missing, js)` for `decode`, `_unsolved` for
-    `unrecovered_sources` and `_unsolved_totals` for `unrecovered_totals`.
-    `_recovery_rows` for `recovery_rows` defaults to one `unrecovered_sources`
-    call per round; a family with a closed form overrides it.
+    `unrecovered_sources`, `_unsolved_totals` for `unrecovered_totals` and
+    `_recovery_rows` for `recovery_rows`. MDS answers `_recovery_rows` in
+    closed form; the xor codecs ask `unrecovered_sources` once per round whose
+    parity column brings a lost set a new equation.
 
     `family` names the family whose constructor build_codec maps it to, or is
     None for a codec that belongs to no family."""
@@ -161,19 +162,8 @@ class ErasureCodec:
         return self._recovery_rows(lost, rounds)
 
     def _recovery_rows(self, lost: Sequence[frozenset], rounds: int) -> tuple[tuple[int, ...], ...]:
-        """recovery_rows for checked rounds: one oracle call per round until
-        the set is recovered whole."""
-        parity = list(range(self.k + 1, self.k + rounds + 1))
-        rows = []
-        for pattern in lost:
-            size = len(pattern)
-            survivors = list(self._sources - pattern)
-            row = [0]  # round 0 brings no parity, so it repairs nothing
-            for t in range(1, rounds + 1):
-                row.append(size if row[-1] == size
-                           else size - len(self.unrecovered_sources(survivors + parity[:t])))
-            rows.append(tuple(row))
-        return tuple(rows)
+        """recovery_rows for checked rounds and lost sets within the sources."""
+        raise NotImplementedError
 
     def unrecovered_totals(self, erased: np.ndarray, n: int, weights: np.ndarray) -> list[int]:
         """Entry j, for j = 0..n-k: the sum over the uint64 erasure masks of a
@@ -241,6 +231,34 @@ class ExplicitXorCodec(ErasureCodec):
             if row.bit_count() == 1:
                 pinned |= row
         return missing.difference(gf2.ones(pinned))
+
+    def _recovery_rows(self, lost: Sequence[frozenset], rounds: int) -> tuple[tuple[int, ...], ...]:
+        """One oracle call per round that brings the set a new equation, until
+        the set is recovered whole. A column that, cut down to the lost
+        sources, is zero or repeats one already sent leaves their span, and
+        with it the count, as it was."""
+        masks = self.masks
+        parity = list(range(self.k + 1, self.k + rounds + 1))
+        rows = []
+        for pattern in lost:
+            size = len(pattern)
+            m = 0
+            for i in pattern:
+                m |= 1 << (i - 1)
+            survivors = list(self._sources - pattern)
+            sent = {0}  # the restricted columns so far; zero is no equation
+            row = [0]  # round 0 brings no parity, so it repairs nothing
+            for t in range(1, rounds + 1):
+                if row[-1] == size:  # recovered whole: the rest of the row is its size
+                    break
+                column = masks[t - 1] & m
+                if column in sent:
+                    row.append(row[-1])
+                else:
+                    sent.add(column)
+                    row.append(size - len(self.unrecovered_sources(survivors + parity[:t])))
+            rows.append(tuple(row) + (size,) * (rounds + 1 - len(row)))
+        return tuple(rows)
 
     def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
                          weights: np.ndarray) -> list[int]:

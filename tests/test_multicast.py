@@ -244,13 +244,9 @@ def test_recovery_rows_reject_sets_outside_the_sources(codec):
             codec.recovery_rows([frozenset({1}), frozenset(pattern)], 2)
 
 
-@pytest.mark.parametrize("codec", [
-    build_mds(12, 8),
-    FountainCode(8, seed=4, n=14),
-    polar_for_parity(8, 8, 0.05),
-    ExplicitXorCodec(8, [0, 0b1011, 0b1011, 0, 0xFF, 0b1011, 0x80]),
-], ids=["mds", "fountain", "polar", "explicit"])
-def test_only_mds_simulates_without_the_oracle(codec, monkeypatch):
+def oracle_calls(codec, run) -> tuple[object, list[list[int]]]:
+    """What run() returns, and the received indices, sorted, of each
+    unrecovered_sources call it makes on codec."""
     calls = []
     oracle = codec.unrecovered_sources
 
@@ -258,10 +254,63 @@ def test_only_mds_simulates_without_the_oracle(codec, monkeypatch):
         calls.append(sorted(received))
         return oracle(received)
 
-    monkeypatch.setattr(codec, "unrecovered_sources", counted)
+    codec.unrecovered_sources = counted
+    try:
+        return run(), calls
+    finally:
+        del codec.unrecovered_sources
+
+
+def brings_new_equation(codec, received: list[int]) -> bool:
+    """Whether the last parity packet of an oracle call's received indices
+    adds an equation: its column, cut down to the lost sources, is neither
+    zero nor one of the earlier columns cut down the same way."""
+    k = codec.k
+    lost = 0
+    for i in set(range(1, k + 1)).difference(received):
+        lost |= 1 << (i - 1)
+    t = sum(i > k for i in received)
+    columns = [m & lost for m in codec.masks[:t]]
+    return columns[-1] not in {0, *columns[:-1]}
+
+
+@pytest.mark.parametrize("codec", [
+    build_mds(12, 8),
+    FountainCode(8, seed=4, n=14),
+    polar_for_parity(8, 8, 0.05),
+    ExplicitXorCodec(8, [0, 0b1011, 0b1011, 0, 0xFF, 0b1011, 0x80]),
+], ids=["mds", "fountain", "polar", "explicit"])
+def test_only_mds_simulates_without_the_oracle(codec):
     patterns = enumerate_patterns(8, 3, 0.05)
-    simulate_incremental(codec, patterns)
-    simulated, calls[:] = calls[:], []
-    reference_simulate_incremental(codec, patterns, codec.parity_limit)
-    # the other families ask the oracle exactly what the reference loop asks
-    assert simulated == ([] if isinstance(codec, MdsCode) else calls)
+    _, simulated = oracle_calls(codec, lambda: simulate_incremental(codec, patterns))
+    _, reference = oracle_calls(codec, lambda: reference_simulate_incremental(
+        codec, patterns, codec.parity_limit))
+    if isinstance(codec, MdsCode):
+        assert simulated == []
+        return
+    # the xor codecs ask what the reference loop asks, less the rounds whose
+    # column brings the lost set no new equation
+    expected = [received for received in reference if brings_new_equation(codec, received)]
+    assert len(expected) < len(reference)
+    assert simulated == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_xor_recovery_rows_skip_only_rounds_without_a_new_equation(data):
+    k = data.draw(st.integers(1, 10), label="k")
+    column = st.integers(0, (1 << k) - 1)
+    # a small pool to draw from makes zero and repeated columns common
+    pool = data.draw(st.lists(column, min_size=1, max_size=3), label="pool")
+    masks = data.draw(st.lists(st.one_of(st.just(0), st.sampled_from(pool), column),
+                               max_size=12), label="masks")
+    codec = ExplicitXorCodec(k, masks)
+    e_max = data.draw(st.integers(1, k), label="e_max")
+    rounds = data.draw(st.integers(0, codec.parity_limit), label="rounds")
+    patterns = enumerate_patterns(k, e_max, 0.05)
+    rows, simulated = oracle_calls(
+        codec, lambda: codec.recovery_rows([p.lost for p in patterns.patterns], rounds))
+    reference, calls = oracle_calls(
+        codec, lambda: reference_simulate_incremental(codec, patterns, rounds))
+    assert rows == reference.recovered
+    assert simulated == [received for received in calls if brings_new_equation(codec, received)]
