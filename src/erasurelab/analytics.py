@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import gf256, rng
-from .codec import FAMILIES, build_codec
+from .codec import build_codec, check_block, check_code
 
 DEFAULT_RECEIVERS = 50_000
 PARITY_SCAN_CAP = 128  # min_parity gives up past this many parity packets
@@ -72,20 +72,12 @@ def systematic_erasures_pmf(e: int, i: int, n: int, k: int) -> float:
     Hypergeometric split C(k,i)*C(n-k,e-i)/C(n,e); arguments outside the
     support are a caller error rather than silently zero.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_block(n, k)
     if not 0 <= e <= n:
         raise ValueError(f"erasure count {e} out of range")
     if not 0 <= i <= min(e, k) or e - i > n - k:
         raise ValueError(f"systematic split i={i} impossible for e={e}, n={n}, k={k}")
     return math.comb(k, i) * math.comb(n - k, e - i) / math.comb(n, e)
-
-
-def _validate_block(n: int, k: int, p_e: float) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0.0 <= p_e <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
 
 
 def _analytic_plr(n: int, k: int, p_e: float, failure_prob: Callable[[int], float]) -> float:
@@ -108,9 +100,11 @@ def _analytic_plr(n: int, k: int, p_e: float, failure_prob: Callable[[int], floa
 
 
 def plr_mds(n: int, k: int, p_e: float) -> PlrReport:
-    """Residual loss of an MDS code: decoding fails exactly when more than
-    n-k packets are erased, and then every lost systematic packet stays lost."""
-    _validate_block(n, k, p_e)
+    """Residual loss of an ideal MDS code of any length: decoding fails exactly
+    when more than n-k packets are erased, and then every lost systematic
+    packet stays lost. build_mds, which builds the GF(256) code, stops at n=256."""
+    check_block(n, k)
+    rng.check_probability(p_e)
     plr = _analytic_plr(n, k, p_e, lambda e: 1.0 if e > n - k else 0.0)
     return PlrReport(family="mds", n=n, k=k, p_e=p_e, plr=plr, method="analytic")
 
@@ -123,7 +117,8 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
     2**-(n-k-e); past the budget failure is certain. This makes the result an
     upper bound on the true loss rate, which is what planning wants.
     """
-    _validate_block(n, k, p_e)
+    check_block(n, k)
+    rng.check_probability(p_e)
     budget = n - k
 
     def failure(e: int) -> float:
@@ -139,6 +134,14 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
 ANALYTIC_PLR = {"mds": plr_mds, "fountain": plr_fountain}
 
 
+def _check_draw(receivers: int, workers: int) -> None:
+    """Reject a Monte-Carlo draw of no receivers or no workers."""
+    if receivers < 1:
+        raise ValueError("need at least one receiver")
+    if workers < 1:
+        raise ValueError("need at least one worker")
+
+
 def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
                  workers: int) -> list[int]:
     """Entry j, for j = 0..n-k: the lost source packets summed over the
@@ -151,10 +154,7 @@ def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
     each was drawn, to one call of the codec's unrecovered_totals, which
     drops the patterns that lose no source.
     """
-    if receivers < 1:
-        raise ValueError("need at least one receiver")
-    if workers < 1:
-        raise ValueError("need at least one worker")
+    _check_draw(receivers, workers)
 
     def run_range(first: int, count: int) -> list[int]:
         totals = [0] * (n - codec.k + 1)
@@ -178,7 +178,8 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     """Monte-Carlo loss rate over independent simulated receivers, each
     drawing its erasures from a stream keyed by (seed, receiver): the result
     is bit-identical for any worker count."""
-    _validate_block(n, k, p_e)
+    check_block(n, k)
+    rng.check_probability(p_e)
     if codec.k != k:
         raise ValueError(f"codec has k={codec.k}, expected {k}")
     limit = codec.parity_limit
@@ -232,18 +233,11 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     unreachable within the family's limits or PARITY_SCAN_CAP parity packets,
     and at once when every packet is lost (p_e = 1).
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if k < 1:
-        raise ValueError("need at least one source packet")
-    if not 0.0 <= p_e <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
+    check_code(family, k, k)
+    rng.check_probability(p_e)
     if not 0.0 < plr_target < 1.0:
         raise ValueError(f"loss target must be in (0, 1), got {plr_target}")
-    if receivers < 1:
-        raise ValueError("need at least one receiver")
-    if workers < 1:
-        raise ValueError("need at least one worker")
+    _check_draw(receivers, workers)
     if p_e == 1.0:
         return None
     if p_e <= plr_target:
@@ -266,10 +260,7 @@ def op_count(family: str, k: int, p: int, packet_size: int = 1500,
     byte per column. Binary codes xor on machine words: an average column
     selects half the sources, costing (k-1)/2 word xors per output word.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if k < 1 or p < 0:
-        raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
+    check_code(family, k + p, k)
     if packet_size < 1 or word_bytes < 1:
         raise ValueError("packet size and word width must be positive")
     if family == "mds":

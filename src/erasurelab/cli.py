@@ -77,8 +77,7 @@ def channel_epsilon(pe: float) -> dict:
     before any code is built: pe itself, or build_codec's default at pe 0 or
     1, where the loss does not depend on the code and the polar construction
     would reject pe."""
-    if not 0.0 <= pe <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {pe}")
+    rng.check_probability(pe)
     return {} if pe in (0, 1) else {"epsilon": pe}
 
 

@@ -64,8 +64,7 @@ class ErasureCodec:
     family: str | None = None
 
     def __init__(self, n: int, k: int):
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        check_block(n, k)
         self.n = n
         self.k = k
         self.parity_limit = n - k
@@ -266,13 +265,17 @@ class ExplicitXorCodec(ErasureCodec):
         return gf2.unsolved_totals(self.masks[:p], lost, dropped, weights)
 
 
-def check_code(family: str, n: int, k: int) -> None:
-    """Reject an unknown family or a k outside 1..n, the checks build_codec
-    makes before it constructs anything."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+def check_block(n: int, k: int) -> None:
+    """Reject a block of n packets that cannot hold k sources, k outside 1..n."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
+def check_code(family: str, n: int, k: int) -> None:
+    """Reject a family outside FAMILIES, then a bad block: build_codec's checks."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    check_block(n, k)
 
 
 def build_codec(family: str, n: int, k: int, *, seed: int | None = None,

@@ -9,15 +9,14 @@ one: its first columns are the same.
 from __future__ import annotations
 
 from . import rng
-from .codec import ExplicitXorCodec
+from .codec import ExplicitXorCodec, check_block
 
 
 class FountainCode(ExplicitXorCodec):
     family = "fountain"
 
     def __init__(self, k: int, seed: int, n: int):
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        check_block(n, k)
         stream = rng.substream(seed, rng.STREAM_FOUNTAIN)
         super().__init__(k, [rng.bits(rng.word(stream, j), k) for j in range(1, n - k + 1)])
         self.seed = seed

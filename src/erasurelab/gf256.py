@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf2
-from .codec import ErasureCodec
+from .codec import ErasureCodec, check_block
 
 PRIMITIVE_POLY = 0x11D
 FIELD_SIZE = 256
@@ -187,8 +187,7 @@ def build_mds(n: int, k: int) -> MdsCode:
     Evaluation points are 0, 1, g, g^2, ... in index order; reducing the left
     k columns of the Vandermonde matrix to the identity yields [I | P].
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_block(n, k)
     if n > FIELD_SIZE:
         raise ValueError(f"n={n} exceeds the field size {FIELD_SIZE}")
     # points 0, 1, g, g^2, ...: each pass appends the powers so far times the next power

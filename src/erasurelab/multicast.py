@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .rng import check_probability
+
 PATTERN_CAP = 10**6
 
 
@@ -68,12 +70,9 @@ def enumerate_patterns(k: int, e_max: int, p_e: float) -> PatternSet:
     the zero-loss pattern is deliberately excluded, so the probabilities are
     weights over impaired receivers, not a distribution summing to one.
     """
-    if k < 1:
-        raise ValueError("need at least one source packet")
     if not 1 <= e_max <= k:
         raise ValueError(f"need 1 <= e_max <= k, got e_max={e_max}")
-    if not 0.0 <= p_e <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
+    check_probability(p_e)
     total = sum(math.comb(k, i) for i in range(1, e_max + 1))
     if total > PATTERN_CAP:
         raise ValueError(

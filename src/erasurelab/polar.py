@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import gf2
-from .codec import ExplicitXorCodec
+from .codec import ExplicitXorCodec, check_block
 
 BLOCK_CAP = 1 << 16  # polar_for_parity takes at most this many packets, k + p
 
@@ -117,8 +117,7 @@ def polar_for_parity(k: int, p: int, epsilon: float) -> PolarCodec:
     reservoir columns beyond p exist at no cost and stay available for
     incremental repair.
     """
-    if k < 1 or p < 0:
-        raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
+    check_block(k + p, k)
     if k + p > BLOCK_CAP:
         raise ValueError(f"k+p={k + p} exceeds the block cap {BLOCK_CAP}")
     levels = 1

@@ -77,10 +77,15 @@ def check_packets(packets: int) -> None:
         raise ValueError(f"at most {MAX_PACKETS} packets per simulated block, got {packets}")
 
 
-def _threshold(first: int, count: int, packets: int, p_e: float) -> int:
-    """Loss threshold on a 64-bit word, once the draw's arguments are checked."""
+def check_probability(p_e: float) -> None:
+    """Reject an erasure probability outside [0, 1]."""
     if not 0.0 <= p_e <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
+
+
+def _threshold(first: int, count: int, packets: int, p_e: float) -> int:
+    """Loss threshold on a 64-bit word, once the draw's arguments are checked."""
+    check_probability(p_e)
     if first < 0 or count < 0 or first + count > 2**64:
         raise ValueError(f"receivers must lie in [0, 2**64), got first={first}, count={count}")
     check_packets(packets)

@@ -453,6 +453,19 @@ def test_collectable_packets_reference_point():
         collectable_packets(0.1, 0.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: delay_budget(-0.1, 0.0, 0, 0.0, 0.0, 0.0), "delay components must be non-negative"),
+    (lambda: delay_budget(0.0, 0.0, 0, 0.0, -1e-6, 0.0), "delay components must be non-negative"),
+    (lambda: delay_budget(0.0, 0.0, -1, 0.0, 0.0, 0.0), "counts must be non-negative"),
+    (lambda: delay_budget(0.0, 0.0, 0, 0.0, 0.0, 0.0, repair_rounds=-1),
+     "counts must be non-negative"),
+    (lambda: collectable_packets(-0.1, 0.0012), "budget must be non-negative"),
+], ids=["rtt", "decode delay", "k", "repair rounds", "budget"])
+def test_delay_inputs_must_be_non_negative(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("budget, interval, packets", [(0.3, 0.1, 4), (0.7, 0.1, 8),
                                                         (0.6, 0.2, 4)])
 def test_collectable_packets_counts_the_packet_at_an_exact_multiple(budget, interval, packets):

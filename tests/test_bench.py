@@ -8,6 +8,7 @@ import pytest
 
 from erasurelab import bench
 from erasurelab.bench import Timing, bench_codec
+from erasurelab.codec import DecodeResult
 
 
 def test_timing_quartiles():
@@ -83,6 +84,81 @@ def test_packet_size_is_checked_before_any_work(monkeypatch, size):
     monkeypatch.setattr(bench, "build_codec", build_codec)
     with pytest.raises(ValueError, match="^packet size and word width must be positive$"):
         bench_codec("mds", 4, 2, packet_size=size, seed=1)
+
+
+def _serve_codecs_with(monkeypatch, method, wrap):
+    """Make bench_codec's codec a real one whose instance `method` is
+    wrap(the real bound method)."""
+    real_build = bench.build_codec
+
+    def build_codec(*args, **kwargs):
+        codec = real_build(*args, **kwargs)
+        setattr(codec, method, wrap(getattr(codec, method)))
+        return codec
+
+    monkeypatch.setattr(bench, "build_codec", build_codec)
+
+
+def _flip(packet: bytes) -> bytes:
+    return bytes([packet[0] ^ 1]) + packet[1:]
+
+
+def _with_flipped(result: DecodeResult, i: int) -> DecodeResult:
+    return DecodeResult(recovered={**result.recovered, i: _flip(result.recovered[i])},
+                        unrecoverable=result.unrecoverable)
+
+
+@pytest.mark.parametrize("family", ["mds", "fountain", "polar"])
+def test_a_wrong_recovered_packet_is_caught(monkeypatch, family):
+    repaired = []
+
+    def wrap(decode):
+        def wrong_decode(received):
+            result = decode(received)
+            i = min(set(result.recovered) - set(received))
+            repaired.append(i)
+            return _with_flipped(result, i)
+        return wrong_decode
+
+    _serve_codecs_with(monkeypatch, "decode", wrap)
+    with pytest.raises(AssertionError) as exc:
+        bench_codec(family, 8, 8, erasure_count=2, seed=6)
+    assert str(exc.value) == f"decoder returned a wrong packet for index {repaired[0]}"
+
+
+def test_an_mds_source_reported_unrecoverable_is_caught(monkeypatch):
+    def wrap(decode):
+        def short_decode(received):
+            result = decode(received)
+            i = min(set(result.recovered) - set(received))
+            recovered = {j: pkt for j, pkt in result.recovered.items() if j != i}
+            return DecodeResult(recovered=recovered, unrecoverable=frozenset({i}))
+        return short_decode
+
+    _serve_codecs_with(monkeypatch, "decode", wrap)
+    with pytest.raises(AssertionError, match="^MDS decode left packets unrecovered$"):
+        bench_codec("mds", 8, 4, seed=6)
+
+
+@pytest.mark.parametrize("method", ["encode", "decode"])
+def test_an_output_that_changes_between_iterations_is_caught(monkeypatch, method):
+    calls = []
+
+    def wrap(call):
+        def drifting(*args):
+            calls.append(None)
+            out = call(*args)
+            if len(calls) == 1:  # bench_codec's own first call, checked against the source
+                return out
+            if method == "encode":
+                return [_flip(out[0])] + out[1:]
+            return _with_flipped(out, min(out.recovered))
+        return drifting
+
+    _serve_codecs_with(monkeypatch, method, wrap)
+    with pytest.raises(AssertionError, match=f"^{method} output changed between iterations$"):
+        bench_codec("fountain", 8, 4, seed=6)
+    assert len(calls) == 2  # the first timed call stops the run
 
 
 def test_iteration_floor():

@@ -162,6 +162,12 @@ def test_invert_rejects_non_square():
         Gf256Matrix(np.zeros((2, 3), dtype=np.uint8)).invert()
 
 
+@pytest.mark.parametrize("data", [[1, 2, 3], [[[1]]], 7])
+def test_matrix_rejects_data_that_is_not_2d(data):
+    with pytest.raises(ValueError, match="^2-D data required$"):
+        Gf256Matrix(data)
+
+
 def test_matrix_inverse_round_trip():
     rnd = random.Random(77)
     inverted = 0

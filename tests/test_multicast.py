@@ -94,6 +94,23 @@ def test_mds_rounds_follow_singleton_rule():
         assert full == len(pat.lost)
 
 
+def test_full_recovery_round_is_none_for_a_pattern_never_repaired():
+    # the one parity column covers source 1 only, so source 2 stays lost
+    table = RecoveryTable(rounds=1, lost_sizes=(2,),
+                          recovered=ExplicitXorCodec(2, [0b01]).recovery_rows([frozenset({1, 2})], 1))
+    assert table.recovered == ((0, 1),)
+    assert table.full_recovery_round(0) is None
+
+
+def test_simulation_rejects_inputs_that_do_not_match():
+    patterns = enumerate_patterns(4, 2, 0.1)
+    with pytest.raises(ValueError, match="^codec has k=6, patterns have k=4$"):
+        simulate_incremental(build_mds(8, 6), patterns)
+    table = simulate_incremental(build_mds(6, 4), enumerate_patterns(4, 1, 0.1))
+    with pytest.raises(ValueError, match="^pattern set does not match the recovery table$"):
+        weighted_cdf(table, patterns)
+
+
 def test_polar_first_round_repairs_all_single_losses():
     patterns = enumerate_patterns(8, 1, 0.05)
     codec = PolarCodec(4, 8, 0.05)
