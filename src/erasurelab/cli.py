@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 on parameter errors, 3 when a planning target is
-unreachable. Commands that draw random numbers print the seed they used, so
-any run can be reproduced afterwards with --seed.
+unreachable. Commands that draw random numbers print the seed they drew once
+their inputs are accepted, so any run can be reproduced afterwards with --seed.
 """
 from __future__ import annotations
 
@@ -81,12 +81,12 @@ def channel_epsilon(pe: float) -> dict:
     return {} if pe in (0, 1) else {"epsilon": pe}
 
 
-def resolve_seed(seed: int | None) -> int:
-    """Use the given seed or draw one and announce it."""
-    if seed is None:
-        seed = secrets.randbits(48)
-        click.echo(f"seed: {seed}")
-    return seed
+def resolve_seed(seed: int | None) -> tuple[int, int | None]:
+    """The seed to use, and the one drawn when none was given (else None),
+    which the command announces with `show({"seed": drawn})` once its library
+    call has accepted the inputs."""
+    drawn = secrets.randbits(48) if seed is None else None
+    return (drawn if seed is None else seed), drawn
 
 
 class Command(click.Command):
@@ -147,9 +147,10 @@ def construct(k, parity, epsilon, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
     """Smallest parity count meeting a loss target."""
-    seed = (seed or 0) if family in analytics.ANALYTIC_PLR else resolve_seed(seed)
+    seed, drawn = (seed or 0, None) if family in analytics.ANALYTIC_PLR else resolve_seed(seed)
     plan = analytics.min_parity(family, k, pe, plr_target, receivers=receivers,
                                 seed=seed, workers=workers)
+    show({"seed": drawn})
     if plan is None:
         click.echo(f"target {fmt(plr_target)} unreachable for family {family} "
                    f"at k={k}, pe={fmt(pe)}", err=True)
@@ -176,12 +177,12 @@ def plan(family, k, pe, plr_target, receivers, seed, workers, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
     """Residual packet loss rate of one code on one channel."""
+    seed, drawn = resolve_seed(seed) if method == "mc" else (seed, None)
     if method == "analytic":
         if family not in analytics.ANALYTIC_PLR:
             raise click.UsageError(f"{family} has no closed-form loss rate; use --method mc")
         report = analytics.ANALYTIC_PLR[family](n, k, pe)
     else:
-        seed = resolve_seed(seed)
         rng.check_packets(n)  # before build_codec draws n - k fountain columns
         codec = build_codec(family, n, k, seed=seed, **channel_epsilon(pe))
         report = analytics.plr_empirical(codec, n, k, pe, receivers=receivers,
@@ -189,7 +190,7 @@ def plr(family, n, k, pe, method, receivers, seed, workers, as_json, csv_path):
     row = {"family": report.family, "n": report.n, "k": report.k, "pe": report.p_e,
            "method": report.method, "receivers": report.receivers,
            "seed": report.seed, "plr": report.plr}
-    show({f: v for f, v in row.items() if f != "seed"})
+    show({"seed": drawn, **{f: v for f, v in row.items() if f != "seed"}})
     emit([row], PLR_FIELDS, as_json, csv_path, "plr")
 
 
@@ -214,8 +215,7 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
     bad = [f for f in fams if f not in FAMILIES]
     if bad or not fams:
         raise click.UsageError(f"unknown families: {','.join(bad) or families!r}")
-    if "fountain" in fams:
-        seed = resolve_seed(seed)
+    seed, drawn = resolve_seed(seed) if "fountain" in fams else (seed, None)
     patterns = multicast.enumerate_patterns(k, emax, pe)
     eps = {"epsilon": epsilon} if epsilon is not None else channel_epsilon(pe)
     rows = []
@@ -234,6 +234,7 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
         curve = multicast.weighted_cdf(table, patterns, partial=partial)
         for t, fraction in curve.points:
             rows.append({"family": fam, "parity_sent": t, "weighted_fraction": fraction})
+    show({"seed": drawn})
     click.echo(",".join(CDF_FIELDS))
     for row in rows:
         click.echo(f"{row['family']},{row['parity_sent']},{fmt(row['weighted_fraction'])}")
@@ -255,10 +256,10 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
 @click.option("--json", "as_json", is_flag=True)
 def bench_cmd(family, k, parity, erasures, size, iters, seed, as_json, csv_path):
     """Median encode/decode time of one configuration."""
-    seed = resolve_seed(seed)
+    seed, drawn = resolve_seed(seed)
     report = bench.bench_codec(family, k, parity, packet_size=size,
                                erasure_count=erasures, iterations=iters, seed=seed)
-    fields = {"family": report.family, "k": report.k, "parity": report.p,
+    fields = {"seed": drawn, "family": report.family, "k": report.k, "parity": report.p,
               "erasures": report.erasure_count, "size": report.packet_size,
               "iterations": report.iterations, "encode_ns_med": report.encode.median_ns,
               "decode_ns_med": report.decode.median_ns,

@@ -100,11 +100,9 @@ class ErasureCodec:
         if missing and js:
             size = len(packets[k + js[0]])
             zero = bytes(size)
-            # a bytearray, so writable: MDS solves in place in the parity rows
-            block = bytearray().join([recovered.get(i, zero) for i in range(1, k + 1)]
-                                     + [packets[k + j] for j in js])
-            block = np.frombuffer(block, dtype=np.uint8).reshape(k + len(js), size)
-            for i, row in self._solve(block, missing, js).items():
+            block = np.frombuffer(b"".join([recovered.get(i, zero) for i in range(1, k + 1)]
+                                           + [packets[k + j] for j in js]), dtype=np.uint8)
+            for i, row in self._solve(block.reshape(k + len(js), size), missing, js).items():
                 recovered[i] = row.tobytes()
                 missing ^= 1 << (i - 1)
         return DecodeResult(recovered=dict(sorted(recovered.items())),
@@ -116,7 +114,7 @@ class ErasureCodec:
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """The lost sources it recovers, as {source index: row}. `block` is a
-        writable (k + len(js), size) uint8 array: row t-1 is source t, zeros
+        read-only (k + len(js), size) uint8 array: row t-1 is source t, zeros
         where lost, then the received parity packets js, not empty, in index
         order. `missing`, not zero, has bit t-1 set for each lost source t."""
         raise NotImplementedError

@@ -2,10 +2,11 @@
 
 The field uses the primitive polynomial x^8+x^4+x^3+x^2+1 (0x11D) with
 generator 2. All arithmetic goes through one 256x256 product table built at
-import, and the row of inverses read from it. A matrix product gathers, for
-each source packet, one word of products per payload byte, so a block's
-parity costs one word-wide gather per source packet byte however many parity
-rows it has.
+import, and the row of inverses read from it. One elimination, reduce_on,
+turns chosen columns into the identity for build_mds and MDS decode. One
+matrix product, combine, gathers for each source packet one word of products
+per payload byte, so a block's parity costs one word-wide gather per source
+packet byte however many parity rows it has.
 """
 from __future__ import annotations
 
@@ -35,13 +36,7 @@ del _x, _i, _exp, _log
 # _INVERSE[a] * a = 1 for a != 0; row 0 of MUL_TABLE holds no 1, so _INVERSE[0] = 0
 _INVERSE = (MUL_TABLE == 1).argmax(axis=1).astype(np.uint8)
 
-_TABLE_BYTES = 1 << 20  # combine's product tables built at once: 20 source rows at r = 200
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("no inverse of 0")
-    return int(_INVERSE[a])
+_TABLE_BYTES = 1 << 20  # combine's tables at once: 102 source rows if encode's p or decode's e is 40
 
 
 def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -75,6 +70,26 @@ def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray
     return acc
 
 
+def reduce_on(a: np.ndarray, cols: Sequence[int]) -> np.ndarray | None:
+    """Gauss-Jordan on a copy of the (r, m) array a: the r columns cols become
+    the identity, row i pivoting on cols[i], and the other columns are carried
+    along; None when those columns are singular. Each step pivots on the first
+    nonzero entry at or below row i, scales the pivot row to 1 there and
+    clears the column in every other row with one table gather."""
+    a = np.array(a, dtype=np.uint8)
+    for i, col in enumerate(cols):
+        pivot = i + int((a[i:, col] != 0).argmax())
+        if not a[pivot, col]:
+            return None
+        if pivot != i:
+            a[[i, pivot]] = a[[pivot, i]]
+        # the gather clears the pivot row too, and the scaled row goes back in after it
+        row = MUL_TABLE[_INVERSE[a[i, col]], a[i]]
+        a ^= MUL_TABLE[a[:, col]].take(row, axis=1)
+        a[i] = row
+    return a
+
+
 class Gf256Matrix:
     """Matrix over GF(2^8) backed by a numpy uint8 array."""
 
@@ -87,28 +102,12 @@ class Gf256Matrix:
         self.data = arr
 
     def invert(self) -> "Gf256Matrix | None":
-        """Gauss-Jordan inverse, or None when singular.
-
-        Runs on [a | I] as one array. Each step pivots on the first nonzero
-        entry at or below the diagonal, scales the pivot row to 1 there and
-        clears the column in every other row with one table gather.
-        """
+        """Inverse, or None when singular: reduce_on of [a | I] on a's columns."""
         n, m = self.data.shape
         if n != m:
             raise ValueError("only square matrices can be inverted")
-        aug = np.concatenate([self.data, np.eye(n, dtype=np.uint8)], axis=1)
-        for col in range(n):
-            pivot = col + int((aug[col:, col] != 0).argmax())
-            if not aug[pivot, col]:
-                return None
-            if pivot != col:
-                aug[[col, pivot]] = aug[[pivot, col]]
-            # left of col the pivot row is already zero; the gather clears
-            # the pivot row too, and the scaled row goes back in after it
-            row = MUL_TABLE[_INVERSE[aug[col, col]], aug[col, col:]]
-            aug[:, col:] ^= MUL_TABLE[aug[:, col, None], row]
-            aug[col, col:] = row
-        return Gf256Matrix(aug[:, n:])
+        aug = reduce_on(np.concatenate([self.data, np.eye(n, dtype=np.uint8)], axis=1), range(n))
+        return None if aug is None else Gf256Matrix(aug[:, n:])
 
     def __repr__(self) -> str:
         return f"Gf256Matrix({self.data.shape[0]}x{self.data.shape[1]})"
@@ -117,21 +116,21 @@ class Gf256Matrix:
 class MdsCode(ErasureCodec):
     """Systematic maximum-distance-separable block code over GF(2^8).
 
-    The generator is [I | P] derived from a Vandermonde matrix on distinct
-    evaluation points, so every k-column submatrix is invertible and any k
-    received packets reconstruct the block.
+    The generator is the (k, n) uint8 array [I | P] derived from a
+    Vandermonde matrix on distinct evaluation points, so every k-column
+    submatrix is invertible and any k received packets reconstruct the block.
     """
 
     family = "mds"
 
-    def __init__(self, n: int, k: int, generator: Gf256Matrix):
+    def __init__(self, n: int, k: int, generator: np.ndarray):
         super().__init__(n, k)
         self.generator = generator
 
     def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
         # shapes stay explicit: reshape cannot infer a -1 axis from 0-byte packets
         src = np.frombuffer(b"".join(source), dtype=np.uint8).reshape(self.k, size)
-        parity = combine(self.generator.data[:, self.k:self.k + p].T, src,
+        parity = combine(self.generator[:, self.k:self.k + p].T, src,
                          np.zeros((p, size), dtype=np.uint8))
         return [row.tobytes() for row in parity]
 
@@ -144,16 +143,17 @@ class MdsCode(ErasureCodec):
         e = len(lost)
         if len(js) < e:
             return {}
-        # row c: how parity js[c] combines the k sources (a fancy-indexed copy)
-        coeffs = self.generator.data[:k, [k + j - 1 for j in js[:e]]].T
+        # [C | I_e]: row c is how parity js[c] combines the k sources, then that packet
+        system = np.concatenate([self.generator[:, [k + j - 1 for j in js[:e]]].T,
+                                 np.eye(e, dtype=np.uint8)], axis=1)
         rows = [m - 1 for m in lost]
-        a_inv = Gf256Matrix(coeffs[:, rows]).invert()
-        if a_inv is None:
+        solved = reduce_on(system, rows)
+        if solved is None:
             raise AssertionError("MDS submatrix unexpectedly singular")
-        coeffs[:, rows] = 0  # the lost rows of block are zeros; combine skips zero columns
-        # parity row c minus the known systematic contributions, in place
-        b = combine(coeffs, block[:k], block[k:k + e])
-        return dict(zip(lost, combine(a_inv.data, b, np.zeros_like(b))))
+        solved[:, rows] = 0  # block's lost rows are zeros; combine skips zero columns
+        # row c: lost source c from the received sources and parity in block[:k + e]
+        return dict(zip(lost, combine(solved, block[:k + e],
+                                      np.zeros((e, block.shape[1]), dtype=np.uint8))))
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
         """Every lost source is recovered once k packets of the block arrived,
@@ -198,7 +198,4 @@ def build_mds(n: int, k: int) -> MdsCode:
     v = np.ones((k, n), dtype=np.uint8)
     for i in range(1, k):
         v[i] = MUL_TABLE[v[i - 1], points[:n]]
-    left_inv = Gf256Matrix(v[:, :k]).invert()
-    if left_inv is None:
-        raise AssertionError("Vandermonde block on distinct points cannot be singular")
-    return MdsCode(n, k, Gf256Matrix(combine(left_inv.data, v, np.zeros_like(v))))
+    return MdsCode(n, k, reduce_on(v, range(k)))

@@ -112,6 +112,13 @@ def test_plan_unreachable_exits_3():
     assert result.exit_code == 3
 
 
+def test_plan_unreachable_announces_its_drawn_seed_first():
+    result = run("plan", "--family", "polar", "--k", 8, "--pe", 1, "--plr-target", 0.5)
+    assert result.exit_code == 3
+    assert result.stdout.startswith("seed: ")
+    assert "unreachable" in result.stderr
+
+
 def test_plan_polar_past_the_simulated_block_cap_exits_3():
     result = run("plan", "--family", "polar", "--k", 60, "--pe", 0.3,
                  "--plr-target", 1e-7, "--seed", 1, "--receivers", 500)
@@ -183,6 +190,18 @@ def test_plr_mc_prints_seed_when_omitted():
                  "--method", "mc", "--receivers", 2000)
     assert result.exit_code == 0
     assert result.output.startswith("seed: ")
+
+
+@pytest.mark.parametrize("args", [
+    ("plan", "--family", "polar", "--k", 0, "--pe", 0.05, "--plr-target", 1e-3),
+    ("plr", "--family", "polar", "--n", 70, "--k", 60, "--pe", 0.05, "--method", "mc"),
+    ("bench", "--family", "mds", "--k", 4, "--parity", 2, "--iters", 5),
+    ("multicast", "--k", 4, "--pe", 0.05, "--emax", 9, "--families", "fountain"),
+], ids=lambda args: args[0])
+def test_rejected_inputs_announce_no_drawn_seed(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert "seed:" not in result.output
 
 
 def test_plr_mc_deterministic_across_runs_and_workers(monkeypatch):

@@ -69,6 +69,23 @@ def test_decode_without_parity_returns_exactly_the_received_sources(family):
     assert out.unrecoverable == {1, 3}
 
 
+@pytest.mark.parametrize("family", sorted(CODECS))
+def test_decode_hands_solve_a_read_only_block(family, monkeypatch):
+    codec = CODECS[family]()
+    parity = codec.encode(SOURCE, 4)
+    solve = type(codec)._solve
+    writeable = []
+
+    def spy(self, block, missing, js):
+        writeable.append(block.flags.writeable)
+        return solve(self, block, missing, js)
+
+    monkeypatch.setattr(type(codec), "_solve", spy)
+    out = codec.decode({2: b"cd", 4: b"gh", **{5 + j: pkt for j, pkt in enumerate(parity)}})
+    assert writeable == [False]
+    assert out.recovered == dict(enumerate(SOURCE, start=1))
+
+
 def test_mds_decode_with_fewer_parity_than_losses_recovers_nothing():
     codec = CODECS["mds"]()
     parity = codec.encode(SOURCE, 4)
@@ -96,7 +113,7 @@ def codes(draw):
 
 
 def _columns(codec):
-    return codec.generator.data.tobytes() if codec.family == "mds" else codec.masks
+    return codec.generator.tobytes() if codec.family == "mds" else codec.masks
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurelab.gf256 import MUL_TABLE, Gf256Matrix, build_mds, combine, gf_inv
+from erasurelab.gf256 import MUL_TABLE, Gf256Matrix, build_mds, combine, reduce_on
 
 
 def slow_mul(a: int, b: int) -> int:
@@ -42,10 +42,10 @@ def test_generator_cycles_through_all_nonzero():
 
 
 def test_inverse_property():
+    # each nonzero element has exactly one inverse, and 0 has none
+    assert not (MUL_TABLE[0] == 1).any()
     for a in range(1, 256):
-        assert MUL_TABLE[a, gf_inv(a)] == 1
-    with pytest.raises(ZeroDivisionError):
-        gf_inv(0)
+        assert (MUL_TABLE[a] == 1).sum() == 1
 
 
 def reference_combine(coeffs, rows, acc: np.ndarray) -> np.ndarray:
@@ -123,7 +123,8 @@ def reference_invert(matrix: Gf256Matrix) -> Gf256Matrix | None:
         if pivot != col:
             a[[col, pivot]] = a[[pivot, col]]
             inv[[col, pivot]] = inv[[pivot, col]]
-        scale = gf_inv(int(a[col, col]))
+        # the inverse of the pivot: where its row of the product table holds the 1
+        scale = list(MUL_TABLE[a[col, col]]).index(1)
         if scale != 1:
             a[col] = MUL_TABLE[scale][a[col]]
             inv[col] = MUL_TABLE[scale][inv[col]]
@@ -157,6 +158,35 @@ def test_invert_matches_reference_invert(data):
         assert got.data.tobytes() == want.data.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reduce_on_matches_reference_inverse_times_a(data):
+    r = data.draw(st.integers(0, 10))
+    m = r + data.draw(st.integers(0, 12))
+    cells = data.draw(st.lists(st.integers(0, 255), min_size=r * m, max_size=r * m))
+    a = np.array(cells, dtype=np.uint8).reshape(r, m)
+    cols = data.draw(st.permutations(range(m)))[:r]
+    if r:
+        # zeros where rows would pivot in order, so the search must look below them
+        for i in data.draw(st.sets(st.integers(0, r - 1))):
+            a[i, cols[i]] = 0
+        # singular inputs: a zero pivot column, or a row repeated over another
+        for col in data.draw(st.sets(st.sampled_from(cols), max_size=1)):
+            a[:, col] = 0
+        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                                     st.integers(0, r - 1)), max_size=1)):
+            a[dst] = a[src]
+    before = a.tobytes()
+    got = reduce_on(a, cols)
+    inverse = reference_invert(Gf256Matrix(a[:, cols]))
+    assert a.tobytes() == before
+    assert (got is None) == (inverse is None)
+    if got is not None:
+        want = reference_combine(inverse.data, a, np.zeros_like(a))
+        assert got.tobytes() == want.tobytes()
+        assert (got[:, cols] == np.eye(r, dtype=np.uint8)).all()
+
+
 def test_invert_rejects_non_square():
     with pytest.raises(ValueError, match="^only square matrices can be inverted$"):
         Gf256Matrix(np.zeros((2, 3), dtype=np.uint8)).invert()
@@ -185,7 +215,7 @@ def test_matrix_inverse_round_trip():
 
 def test_generator_is_systematic():
     code = build_mds(8, 4)
-    left = code.generator.data[:, :4]
+    left = code.generator[:, :4]
     assert (left == np.eye(4, dtype=np.uint8)).all()
 
 
@@ -206,21 +236,21 @@ GENERATOR_SHA256 = {
 
 @pytest.mark.parametrize("n,k", list(GENERATOR_SHA256))
 def test_generator_bytes_are_pinned(n, k):
-    data = build_mds(n, k).generator.data
+    data = build_mds(n, k).generator
     assert data.shape == (k, n)
     assert hashlib.sha256(data.tobytes()).hexdigest() == GENERATOR_SHA256[n, k]
 
 
 def test_parity_coefficients_all_nonzero_small():
     code = build_mds(3, 2)
-    assert (code.generator.data[:, code.k:] != 0).all()
+    assert (code.generator[:, code.k:] != 0).all()
 
 
 def test_every_k_subset_invertible():
     # the defining MDS property of the (8,4) generator
     code = build_mds(8, 4)
     for cols in combinations(range(8), 4):
-        sub = Gf256Matrix(code.generator.data[:, list(cols)].tolist())
+        sub = Gf256Matrix(code.generator[:, list(cols)].tolist())
         assert sub.invert() is not None
 
 
@@ -230,7 +260,7 @@ def test_encode_matches_naive_dot():
     src = [bytes(rnd.randrange(256) for _ in range(37)) for _ in range(5)]
     parity = code.encode(src, 5)
     for j in range(5):
-        coeffs = [int(code.generator.data[i, 5 + j]) for i in range(5)]
+        coeffs = [int(code.generator[i, 5 + j]) for i in range(5)]
         for byte in range(37):
             expect = 0
             for i in range(5):
@@ -251,6 +281,21 @@ def test_decode_every_recoverable_pattern():
             assert not out.unrecoverable
             for i in range(1, k + 1):
                 assert out.recovered[i] == src[i - 1]
+
+
+@pytest.mark.parametrize("n,k,e", [(240, 200, 40), (256, 128, 128)])
+def test_decode_of_wide_losses_returns_every_source(n, k, e):
+    # the widest reduce_on in decode, and combine's product tables in more than one chunk
+    gen = np.random.default_rng(n + e)
+    code = build_mds(n, k)
+    src = [row.tobytes() for row in gen.integers(0, 256, (k, 64), dtype=np.uint8)]
+    parity = code.encode(src, n - k)
+    lost = set(gen.choice(np.arange(1, k + 1), e, replace=False).tolist())
+    received = {i: src[i - 1] for i in range(1, k + 1) if i not in lost}
+    received.update({k + j: pkt for j, pkt in enumerate(parity, start=1)})
+    out = code.decode(received)
+    assert not out.unrecoverable
+    assert out.recovered == dict(enumerate(src, start=1))
 
 
 def test_decode_reports_shortfall():
@@ -299,7 +344,7 @@ def test_build_mds_parameter_limits():
     # k = n is a zero-parity block, as in every family: sources pass through
     code = build_mds(4, 4)
     assert code.parity_limit == 0
-    assert np.array_equal(code.generator.data, np.eye(4, dtype=np.uint8))
+    assert np.array_equal(code.generator, np.eye(4, dtype=np.uint8))
     source = [b"ab", b"cd", b"ef", b"gh"]
     assert code.encode(source, 0) == []
     out = code.decode({1: b"ab", 3: b"ef"})

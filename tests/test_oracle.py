@@ -178,14 +178,14 @@ def reference_mds_decode(codec, received) -> DecodeResult:
     size = len(next(iter(packets.values())))
     b = []
     for idx in use:
-        coeffs = codec.generator.data[:, idx - 1]
+        coeffs = codec.generator[:, idx - 1]
         acc = np.frombuffer(packets[idx], dtype=np.uint8).copy()
         for i, pkt in known.items():
             c = coeffs[i - 1]
             if c:
                 acc ^= MUL_TABLE[c][np.frombuffer(pkt, dtype=np.uint8)]
         b.append(acc)
-    a_inv = reference_invert(Gf256Matrix([[int(codec.generator.data[m - 1, idx - 1])
+    a_inv = reference_invert(Gf256Matrix([[int(codec.generator[m - 1, idx - 1])
                                            for m in missing] for idx in use]))
     recovered = dict(known)
     for c, m in enumerate(missing):
