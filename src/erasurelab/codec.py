@@ -101,8 +101,9 @@ class ErasureCodec:
             size = len(packets[k + js[0]])
             zero = bytes(size)
             block = np.frombuffer(b"".join([recovered.get(i, zero) for i in range(1, k + 1)]
-                                           + [packets[k + j] for j in js]), dtype=np.uint8)
-            for i, row in self._solve(block.reshape(k + len(js), size), missing, js).items():
+                                           + [packets[k + j] for j in js] + [zero]),
+                                  dtype=np.uint8)
+            for i, row in self._solve(block.reshape(k + len(js) + 1, size), missing, js).items():
                 recovered[i] = row.tobytes()
                 missing ^= 1 << (i - 1)
         return DecodeResult(recovered=dict(sorted(recovered.items())),
@@ -114,9 +115,10 @@ class ErasureCodec:
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """The lost sources it recovers, as {source index: row}. `block` is a
-        read-only (k + len(js), size) uint8 array: row t-1 is source t, zeros
-        where lost, then the received parity packets js, not empty, in index
-        order. `missing`, not zero, has bit t-1 set for each lost source t."""
+        read-only (k + len(js) + 1, size) uint8 array: row t-1 is source t,
+        zeros where lost, then the received parity packets js, not empty, in
+        index order, then a row of zeros. `missing`, not zero, has bit t-1 set
+        for each lost source t."""
         raise NotImplementedError
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
@@ -186,22 +188,22 @@ class ExplicitXorCodec(ErasureCodec):
     def __init__(self, k: int, masks: Sequence[int]):
         super().__init__(k + len(masks), k)
         self.masks = tuple(m & ((1 << k) - 1) for m in masks)
-        # the sources each column xors, 1-based, walked once here for encode
-        self._picks = tuple(gf2.ones(m) for m in self.masks)
+        # (p, size, gf2.xor_tables) of the last encode, built on the first
+        # encode of that shape: the planner builds codecs that never encode
+        self._tables: tuple = (None, None, None)
 
     def parity_mask(self, j: int) -> int:
         self._check_parity_index(j)
         return self.masks[j - 1]
 
     def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
-        ints = [int.from_bytes(s, "little") for s in source]
-        out = []
-        for picks in self._picks[:p]:
-            acc = 0
-            for t in picks:
-                acc ^= ints[t - 1]
-            out.append(acc.to_bytes(size, "little"))
-        return out
+        k = self.k
+        cached = self._tables  # read once: another thread may replace it
+        if cached[:2] != (p, size):
+            cached = self._tables = (p, size, gf2.xor_tables(self.masks[:p], k, size))
+        # row k of the block is zeros, the row xor_tables pads with
+        block = np.frombuffer(b"".join([*source, bytes(size)]), dtype=np.uint8)
+        return [row.tobytes() for row in gf2.xor_apply(block.reshape(k + 1, size), cached[2])]
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """Gaussian elimination over the received parity equations with the
@@ -209,13 +211,16 @@ class ExplicitXorCodec(ErasureCodec):
         in _unsolved. Equation e is its column plus the selection bit k + e,
         so the bits of a unit row outside `missing` are a plan: the rows of
         `block` to xor, the received sources its columns cover and the
-        received parities it sums."""
+        received parities it sums. All plans go through one gf2.xor_apply,
+        padded with the block's last row, which is zeros."""
         k = self.k
         masks = self.masks
         rows = gf2.reduce_augmented([masks[j - 1] | 1 << (k + e) for e, j in enumerate(js)],
                                     missing)
-        return {unit.bit_length(): np.bitwise_xor.reduce(block[[t - 1 for t in gf2.ones(r ^ unit)]])
-                for r in rows if (unit := r & missing).bit_count() == 1}
+        plans = {unit.bit_length(): r ^ unit
+                 for r in rows if (unit := r & missing).bit_count() == 1}
+        tables = gf2.xor_tables(list(plans.values()), len(block) - 1, block.shape[1])
+        return dict(zip(plans, gf2.xor_apply(block, tables)))
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
         m = 0

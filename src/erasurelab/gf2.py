@@ -6,6 +6,9 @@ so row operations cost one machine word operation per word of packed bits.
 row and `xor_rows` sums the rows a mask selects. `reduce_echelon` and
 `reduce_augmented` share one scalar elimination; `unsolved_totals` runs it
 on many systems at once, in rank slots, the systems sorted by unknown count.
+`xor_tables` and `xor_apply` are the one packet xor kernel: packed rows
+select payload rows of a uint8 block, and every selection is gathered and
+reduced with numpy, a group of outputs at a time.
 """
 from __future__ import annotations
 
@@ -14,6 +17,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _CHUNK = 1 << 12  # systems per elimination pass: a 2 MiB basis at 64 unknowns
+# payload bytes xor_apply gathers at once: with the rows it reduces them to,
+# a piece stays inside one core's 2 MiB L2 cache
+_GATHER_BYTES = 1 << 19
+# padding bytes that cost less to xor than one more gather and reduce call
+_MERGE_BYTES = 1 << 15
 
 
 def kernel_entry(row: int, col: int) -> int:
@@ -43,6 +51,56 @@ def xor_rows(mask: int, rows: Sequence[int]) -> int:
     for t in ones(mask):
         acc ^= rows[t - 1]
     return acc
+
+
+def xor_tables(rows: Sequence[int], width: int, size: int) -> tuple[list[int], list]:
+    """xor_apply's tables for packed rows of `width` bits over block rows of
+    `size` bytes: output i xors the block rows t whose bit t is set in
+    rows[i]. Returns (order, pieces): the outputs sorted by set-bit count,
+    and (at, table) pairs whose (g, w) intp table lists, for the outputs
+    order[at:at + g], their block rows lowest first, padded to w with
+    indices past `width` that xor_apply clips to the zero row `width`.
+
+    An output joins the group before it, which shares one w, when its count
+    has the bit length of that w (padding at most doubles a gather) or adds
+    at most _MERGE_BYTES of padding. Groups are cut into pieces of at most
+    _GATHER_BYTES and at least one output."""
+    counts = [r.bit_count() for r in rows]
+    order = sorted(range(len(rows)), key=counts.__getitem__)
+    shapes: list[tuple[int, int]] = []  # (outputs, w) per group
+    for c in (counts[i] for i in order):
+        if shapes and (c.bit_length() == shapes[-1][1].bit_length()
+                       or shapes[-1][0] * (c - shapes[-1][1]) * size <= _MERGE_BYTES):
+            shapes[-1] = (shapes[-1][0] + 1, c)
+        else:
+            shapes.append((1, c))
+    # ones above bit `width` pad each row to its group's w, so one unpack lists every table
+    widths = [w for g, w in shapes for _ in range(g)]
+    nbytes = (width + max(widths, default=0) + 7) // 8
+    packed = b"".join([(rows[i] | ((1 << (w - counts[i])) - 1) << width).to_bytes(nbytes, "little")
+                       for i, w in zip(order, widths)])
+    flat = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), nbytes),
+                         axis=1, bitorder="little").nonzero()[1]
+    pieces, at, lo = [], 0, 0
+    for g, w in shapes:
+        table = flat[lo:lo + g * w].reshape(g, w)
+        step = max(1, _GATHER_BYTES // max(1, w * size))
+        pieces += [(at + s, table[s:s + step]) for s in range(0, g, step)]
+        at, lo = at + g, lo + g * w
+    return order, pieces
+
+
+def xor_apply(block: np.ndarray, tables: tuple[list[int], list]) -> list[np.ndarray]:
+    """Row i: the xor of the rows of the (width + 1, size) uint8 block, whose
+    last row is zeros, that output i of xor_tables selects. Each piece is one
+    gather and one xor reduce; the block is only read."""
+    order, pieces = tables
+    rows: list = [None] * len(order)
+    for at, table in pieces:
+        xors = np.bitwise_xor.reduce(block.take(table, axis=0, mode="clip"), axis=1)
+        for i, row in zip(order[at:at + len(table)], xors):
+            rows[i] = row
+    return rows
 
 
 def reduce_echelon(rows: Iterable[int]) -> list[int]:

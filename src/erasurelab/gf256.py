@@ -37,6 +37,8 @@ del _x, _i, _exp, _log
 _INVERSE = (MUL_TABLE == 1).argmax(axis=1).astype(np.uint8)
 
 _TABLE_BYTES = 1 << 20  # combine's tables at once: 102 source rows if encode's p or decode's e is 40
+# combine's payload indices at once, cast to intp: 43 source rows of 1500 bytes
+_INDEX_BYTES = 1 << 19
 
 
 def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -47,7 +49,8 @@ def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray
     padded to a word of 1, 2 or 4 bytes or a multiple of 8. One gather along
     the payload then fetches all r products of each payload byte at once into
     a transposed (size, word) accumulator, which is xored into acc at the end.
-    All-zero columns are skipped; tables are built _TABLE_BYTES at a time.
+    All-zero columns are skipped; tables are built _TABLE_BYTES, and payload
+    rows cast to gather indices _INDEX_BYTES, at a time.
     """
     r = len(coeffs)
     cols = np.flatnonzero(coeffs.any(axis=0))
@@ -57,7 +60,7 @@ def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray
     word = np.dtype(f"u{min(width, 8)}")
     total = np.zeros((rows.shape[1], width // word.itemsize), dtype=word)
     scaled = np.empty_like(total)
-    step = max(1, _TABLE_BYTES // (256 * width))
+    step = max(1, min(_TABLE_BYTES // (256 * width), _INDEX_BYTES // max(1, 8 * rows.shape[1])))
     for start in range(0, len(cols), step):
         part = cols[start:start + step]
         tables = np.zeros((len(part), 256, width), dtype=np.uint8)

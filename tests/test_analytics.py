@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -331,6 +332,27 @@ def test_empirical_leaves_no_state_on_the_codec(monkeypatch):
         sys.setswitchinterval(interval)
     assert again == first
     assert vars(codec) == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empirical_memory_does_not_grow_with_the_receivers(workers):
+    # A worker holds one batch at a time: its _BATCH uint64 masks, np.unique's
+    # sorted copy and its flags and indices, at most 3 words per receiver, and
+    # erasure_masks' scratch, 4 words per receiver of a _PIECE. So the traced
+    # peak stays under workers * (24 * _BATCH + 32 * _PIECE) bytes, 7 MiB per
+    # worker, whatever the receiver count.
+    ceiling = workers * (24 * analytics._BATCH + 32 * rng._PIECE)
+    codec = polar_for_parity(12, 4, 0.05)
+    peaks = []
+    for receivers in (1 << 20, 1 << 22):
+        tracemalloc.start()
+        try:
+            plr_empirical(codec, 16, 12, 0.05, receivers=receivers, seed=3, workers=workers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert max(peaks) <= ceiling, (peaks, ceiling)
 
 
 def test_empirical_loss_total_equals_the_oracle_total(monkeypatch):

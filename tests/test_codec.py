@@ -1,11 +1,14 @@
 """The systematic codec front that every family shares: malformed input to
 encode and decode raises the same ValueError in each of them, 0-byte
 packets encode and decode, build_codec returns each family's own codec, and
-the xor encode equals the xor of the sources each parity column selects."""
+the xor encode and decode equal, byte for byte, the xor of the sources each
+parity column selects and the walk of each decode plan on Python ints."""
 from __future__ import annotations
 
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +166,45 @@ def xor_codecs(draw):
     return ExplicitXorCodec(k, draw(st.permutations(masks)))
 
 
+def reference_parity(codec, source, p):
+    """The xor encode on Python ints: parity j xors the sources its column
+    selects."""
+    size = len(source[0])
+    ints = [int.from_bytes(s, "little") for s in source]
+    return [gf2.xor_rows(codec.parity_mask(j), ints).to_bytes(size, "little")
+            for j in range(1, p + 1)]
+
+
+def reference_plan_walk(codec, received):
+    """xor decode's plans applied one at a time on Python ints: each unit row
+    of reduce_augmented, less its lost source bit, names the received
+    sources and parity packets whose xor is that source."""
+    k = codec.k
+    size = len(next(iter(received.values())))
+    js = sorted(i - k for i in received if i > k)
+    ints = [int.from_bytes(received.get(i, bytes(size)), "little") for i in range(1, k + 1)]
+    ints += [int.from_bytes(received[k + j], "little") for j in js]
+    missing = sum(1 << (i - 1) for i in range(1, k + 1) if i not in received)
+    rows = gf2.reduce_augmented([codec.parity_mask(j) | 1 << (k + e) for e, j in enumerate(js)],
+                                missing)
+    return {unit.bit_length(): gf2.xor_rows(r ^ unit, ints).to_bytes(size, "little")
+            for r in rows if (unit := r & missing).bit_count() == 1}
+
+
+def check_xor_decode(codec, source, lost, p):
+    """Decode with the sources `lost` gone and parity 1..p received: every
+    recovered byte equals the plan walk's and the source's."""
+    k = codec.k
+    received = {i: source[i - 1] for i in range(1, k + 1) if i not in lost}
+    received.update((k + j, pkt) for j, pkt in enumerate(codec.encode(source, p), 1))
+    walked = reference_plan_walk(codec, received)
+    out = codec.decode(received)
+    kept = set(range(1, k + 1)) - lost | set(walked)
+    assert out.recovered == {i: source[i - 1] for i in sorted(kept)}
+    assert out.unrecoverable == lost - set(walked)
+    assert all(walked[i] == source[i - 1] for i in walked)
+
+
 @settings(max_examples=200, deadline=None)
 @given(codec=xor_codecs(), data=st.data())
 def test_xor_encode_equals_the_selected_source_xor(codec, data):
@@ -170,7 +212,66 @@ def test_xor_encode_equals_the_selected_source_xor(codec, data):
     p = data.draw(st.integers(0, codec.parity_limit))
     gen = random.Random(data.draw(st.integers(0, 2**32)))
     source = [gen.randbytes(size) for _ in range(codec.k)]
-    ints = [int.from_bytes(s, "little") for s in source]
-    parity = codec.encode(source, p)
-    assert parity == [gf2.xor_rows(codec.parity_mask(j), ints).to_bytes(size, "little")
-                      for j in range(1, p + 1)]
+    assert codec.encode(source, p) == reference_parity(codec, source, p)
+
+
+@pytest.mark.parametrize("family", ["fountain", "polar"])
+@pytest.mark.parametrize("k, p", [(200, 40), (180, 76)])
+def test_xor_encode_and_decode_at_large_k_equal_the_int_references(family, k, p):
+    codec = build_codec(family, k + p, k, seed=k + p)
+    gen = random.Random(k * p)
+    source = [gen.randbytes(1500) for _ in range(k)]
+    assert codec.encode(source, p) == reference_parity(codec, source, p)
+    check_xor_decode(codec, source, frozenset(gen.sample(range(1, k + 1), p)), p)
+
+
+@pytest.mark.parametrize("size", [0, 1, 9, 1500])
+def test_xor_encode_of_zero_full_and_repeated_columns(size):
+    k = 37
+    gen = random.Random(size)
+    column = gen.getrandbits(k)
+    codec = ExplicitXorCodec(k, [0, (1 << k) - 1, column, column, 0, (1 << k) - 1, 1 << (k - 1)])
+    source = [gen.randbytes(size) for _ in range(k)]
+    # every parity count, 0 included, and each twice: the second reads the stored tables
+    for p in [*range(codec.parity_limit + 1), *range(codec.parity_limit, -1, -1)]:
+        assert codec.encode(source, p) == reference_parity(codec, source, p)
+
+
+def test_threads_encoding_other_shapes_on_one_codec_get_their_own_parity():
+    # the codec keeps the tables of its last encode: each thread cycles
+    # through four parity counts and sizes, so the threads replace the
+    # tables under one another
+    codec = FountainCode(24, 5, n=32)
+    gen = random.Random(5)
+    jobs = [([gen.randbytes(size) for _ in range(24)], p) for size in (16, 40) for p in (3, 8)]
+    want = [reference_parity(codec, source, p) for source, p in jobs]
+
+    def cycle(first: int) -> bool:
+        return all(codec.encode(*jobs[(first + t) % 4]) == want[(first + t) % 4]
+                   for t in range(400))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert all(pool.map(cycle, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("gather, merge", [
+    (1, 0),  # a piece per output, a group per bit length
+    (40_000, 0),  # groups cut into pieces of a few outputs
+    (400_000, 1 << 15),
+    (1 << 40, 1 << 40),  # one piece, one group
+])
+@pytest.mark.parametrize("family", ["fountain", "polar"])
+def test_xor_kernel_pieces_and_groups_change_no_byte(monkeypatch, gather, merge, family):
+    monkeypatch.setattr(gf2, "_GATHER_BYTES", gather)
+    monkeypatch.setattr(gf2, "_MERGE_BYTES", merge)
+    k, p = 200, 40
+    codec = build_codec(family, k + p, k, seed=11)
+    gen = random.Random(gather ^ merge)
+    source = [gen.randbytes(1500) for _ in range(k)]
+    assert codec.encode(source, p) == reference_parity(codec, source, p)
+    check_xor_decode(codec, source, frozenset(gen.sample(range(1, k + 1), p)), p)

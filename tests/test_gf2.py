@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from erasurelab import gf2
 from erasurelab.gf2 import kernel_entry
 
@@ -96,6 +98,36 @@ def test_ones_and_xor_rows_match_bit_lists():
         for j in picked:
             acc ^= rows[j]
         assert gf2.xor_rows(mask, rows) == acc
+
+
+def test_xor_tables_and_apply_match_xor_rows(monkeypatch):
+    rnd = random.Random(23)
+    for budget in (1, 3000, 1 << 19):
+        monkeypatch.setattr(gf2, "_GATHER_BYTES", budget)
+        for _ in range(60):
+            width, size = rnd.randrange(1, 90), rnd.randrange(0, 40)
+            # every weight from 0 to width can occur, so groups of many bit lengths form
+            rows = [sum(1 << t for t in rnd.sample(range(width), rnd.randrange(width + 1)))
+                    for _ in range(rnd.randrange(0, 30))]
+            order, pieces = gf2.xor_tables(rows, width, size)
+            assert sorted(order) == list(range(len(rows)))
+            assert [rows[i].bit_count() for i in order] == sorted(r.bit_count() for r in rows)
+            at = 0
+            for start, table in pieces:
+                assert start == at and len(table)
+                assert len(table) == 1 or table.size * size <= budget
+                for i, listed in zip(order[at:], table.tolist()):
+                    picks = [t - 1 for t in gf2.ones(rows[i])]
+                    assert listed[:len(picks)] == picks
+                    assert min(listed[len(picks):], default=width) >= width
+                at += len(table)
+            assert at == len(rows)
+            payload = [rnd.randbytes(size) for _ in range(width)]
+            block = np.frombuffer(b"".join(payload + [bytes(size)]), dtype=np.uint8)
+            ints = [int.from_bytes(b, "little") for b in payload]
+            got = gf2.xor_apply(block.reshape(width + 1, size), (order, pieces))
+            assert [row.tobytes() for row in got] == [gf2.xor_rows(r, ints).to_bytes(size, "little")
+                                                      for r in rows]
 
 
 def test_packed_product_associative_random():
