@@ -7,6 +7,7 @@ All families present the same systematic wire format. Packet indices are
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,38 +26,22 @@ class DecodeResult:
     unrecoverable: frozenset[int]
 
 
-def normalize_received(received, limit: int) -> dict[int, bytes]:
-    """Validate (index, packet) input, indices in 1..limit, and return it as
-    a dict."""
-    if isinstance(received, Mapping):
-        pairs = list(received.items())
-    else:
-        pairs = list(received)
-    out: dict[int, bytes] = {}
-    size = None
-    for idx, pkt in pairs:
-        if not 1 <= idx <= limit:
-            raise ValueError(f"packet index {idx} out of range")
-        if idx in out:
-            raise ValueError(f"duplicate packet index {idx}")
-        if size is None:
-            size = len(pkt)
-        elif len(pkt) != size:
-            raise ValueError("received packets must have equal length")
-        out[idx] = bytes(pkt)
-    return out
-
-
 class ErasureCodec:
     """Systematic codec for one fixed block of n packets: k sources and
     parity_limit = n - k parity packets. The base class owns the checks, the
-    split into sources and parity of every operation, decode's packet block
-    and the drop of masks that lose no source; families supply only `_parity`
+    split into sources and parity of every operation, both packet blocks and
+    the drop of masks that lose no source; families supply only `_parity`
     for `encode`, `_solve(block, missing, js)` for `decode`, `_unsolved` for
     `unrecovered_sources`, `_unsolved_totals` for `unrecovered_totals` and
     `_recovery_rows` for `recovery_rows`. MDS answers `_recovery_rows` in
     closed form; the xor codecs ask `unrecovered_sources` once per round whose
     parity column brings a lost set a new equation.
+
+    A packet block is a read-only (rows, size) uint8 array: row t-1 is source
+    t, and the last row is zeros. Encode's block is the k sources and that
+    row. Decode's has zeros where a source is lost, then the received parity
+    packets js in index order, then the row of zeros. `_parity` and `_solve`
+    return rows, which the base class turns into bytes.
 
     `family` names the family whose constructor build_codec maps it to, or is
     None for a codec that belongs to no family."""
@@ -83,42 +68,54 @@ class ErasureCodec:
         size = len(source[0])
         if any(len(s) != size for s in source):
             raise ValueError("source packets must have equal length")
-        return self._parity(source, p, size)
+        return [row.tobytes() for row in self._parity(_block([*source, bytes(size)], size), p)]
 
     def decode(self, received) -> DecodeResult:
         """Recover source packets from (index, packet) pairs, a mapping or an
-        iterable. Received sources pass through; the family's solve recovers
-        what it can of the rest from the received parity."""
-        k = self.k
-        packets = normalize_received(received, self.n)
-        recovered = {i: pkt for i, pkt in sorted(packets.items()) if i <= k}
-        have = 0
-        for i in recovered:
-            have |= 1 << (i - 1)
-        missing = ~have & ((1 << k) - 1)
-        js = [i - k for i in sorted(packets) if i > k]
-        if missing and js:
-            size = len(packets[k + js[0]])
+        iterable, read in one pass. Received sources pass through; the
+        family's solve recovers what it can of the rest from the received
+        parity."""
+        k, n = self.k, self.n
+        sources: list = [None] * k  # source t at t-1 as bytes, None while lost
+        parity: dict[int, bytes] = {}
+        seen = 0  # bit i-1: packet i arrived
+        size = None
+        for idx, pkt in received.items() if isinstance(received, Mapping) else received:
+            if not 1 <= idx <= n:
+                raise ValueError(f"packet index {idx} out of range")
+            i = operator.index(idx)
+            bit = 1 << (i - 1)
+            if seen & bit:
+                raise ValueError(f"duplicate packet index {idx}")
+            if size is None:
+                size = len(pkt)
+            elif len(pkt) != size:
+                raise ValueError("received packets must have equal length")
+            seen |= bit
+            if i <= k:
+                sources[i - 1] = bytes(pkt)
+            else:
+                parity[i - k] = bytes(pkt)
+        missing = ~seen & ((1 << k) - 1)
+        if missing and parity:
+            js = sorted(parity)
             zero = bytes(size)
-            block = np.frombuffer(b"".join([recovered.get(i, zero) for i in range(1, k + 1)]
-                                           + [packets[k + j] for j in js] + [zero]),
-                                  dtype=np.uint8)
-            for i, row in self._solve(block.reshape(k + len(js) + 1, size), missing, js).items():
-                recovered[i] = row.tobytes()
+            block = _block([zero if s is None else s for s in sources]
+                           + [parity[j] for j in js] + [zero], size)
+            for i, row in self._solve(block, missing, js).items():
+                sources[i - 1] = row.tobytes()
                 missing ^= 1 << (i - 1)
-        return DecodeResult(recovered=dict(sorted(recovered.items())),
+        return DecodeResult(recovered={i: s for i, s in enumerate(sources, 1) if s is not None},
                             unrecoverable=frozenset(gf2.ones(missing)))
 
-    def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
-        """Parity packets 1..p of checked source packets of `size` bytes."""
+    def _parity(self, block: np.ndarray, p: int) -> Iterable[np.ndarray]:
+        """Parity rows 1..p of encode's (k + 1, size) block."""
         raise NotImplementedError
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
-        """The lost sources it recovers, as {source index: row}. `block` is a
-        read-only (k + len(js) + 1, size) uint8 array: row t-1 is source t,
-        zeros where lost, then the received parity packets js, not empty, in
-        index order, then a row of zeros. `missing`, not zero, has bit t-1 set
-        for each lost source t."""
+        """The lost sources it recovers, as {source index: row}, from decode's
+        (k + len(js) + 1, size) block; js is not empty. `missing`, not zero,
+        has bit t-1 set for each lost source t."""
         raise NotImplementedError
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
@@ -196,14 +193,13 @@ class ExplicitXorCodec(ErasureCodec):
         self._check_parity_index(j)
         return self.masks[j - 1]
 
-    def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
-        k = self.k
+    def _parity(self, block: np.ndarray, p: int) -> list[np.ndarray]:
+        size = block.shape[1]
         cached = self._tables  # read once: another thread may replace it
         if cached[:2] != (p, size):
-            cached = self._tables = (p, size, gf2.xor_tables(self.masks[:p], k, size))
-        # row k of the block is zeros, the row xor_tables pads with
-        block = np.frombuffer(b"".join([*source, bytes(size)]), dtype=np.uint8)
-        return [row.tobytes() for row in gf2.xor_apply(block.reshape(k + 1, size), cached[2])]
+            cached = self._tables = (p, size, gf2.xor_tables(self.masks[:p], self.k, size))
+        # the block's last row is zeros, the row xor_tables pads with
+        return gf2.xor_apply(block, cached[2])
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """Gaussian elimination over the received parity equations with the
@@ -223,9 +219,7 @@ class ExplicitXorCodec(ErasureCodec):
         return dict(zip(plans, gf2.xor_apply(block, tables)))
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
-        m = 0
-        for i in missing:
-            m |= 1 << (i - 1)
+        m = gf2.pack(missing)
         masks = self.masks
         pinned = 0
         # rows keep the codec's own bit positions; a weight-1 basis row pins its source
@@ -244,9 +238,7 @@ class ExplicitXorCodec(ErasureCodec):
         rows = []
         for pattern in lost:
             size = len(pattern)
-            m = 0
-            for i in pattern:
-                m |= 1 << (i - 1)
+            m = gf2.pack(pattern)
             survivors = list(self._sources - pattern)
             sent = {0}  # the restricted columns so far; zero is no equation
             row = [0]  # round 0 brings no parity, so it repairs nothing
@@ -266,6 +258,12 @@ class ExplicitXorCodec(ErasureCodec):
                          weights: np.ndarray) -> list[int]:
         # a lost parity packet drops its equation
         return gf2.unsolved_totals(self.masks[:p], lost, dropped, weights)
+
+
+def _block(rows: list, size: int) -> np.ndarray:
+    """The read-only (len(rows), size) uint8 array of packets of `size` bytes."""
+    # shapes stay explicit: reshape cannot infer a -1 axis from 0-byte packets
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), size)
 
 
 def check_block(n: int, k: int) -> None:

@@ -3,15 +3,17 @@
 Rows are stored as Python ints, bit j of a row is column j. Addition is xor,
 so row operations cost one machine word operation per word of packed bits.
 `kernel_entry` reads the polar kernel power, `ones` walks the set bits of a
-row and `xor_rows` sums the rows a mask selects. `reduce_echelon` and
-`reduce_augmented` share one scalar elimination; `unsolved_totals` runs it
-on many systems at once, in rank slots, the systems sorted by unknown count.
+row, `pack` sets them and `xor_rows` sums the rows a mask selects.
+`reduce_echelon` and `reduce_augmented` share one scalar elimination;
+`unsolved_totals` runs it on many systems at once, in rank slots, the
+systems sorted by unknown count.
 `xor_tables` and `xor_apply` are the one packet xor kernel: packed rows
 select payload rows of a uint8 block, and every selection is gathered and
 reduced with numpy, a group of outputs at a time.
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +44,15 @@ def ones(mask: int) -> list[int]:
         out.append(low.bit_length())
         mask ^= low
     return out
+
+
+def pack(positions: Iterable[int]) -> int:
+    """The row whose set bits are the 1-based positions, the inverse of ones;
+    each position goes through operator.index, so numpy integers pack too."""
+    mask = 0
+    for t in positions:
+        mask |= 1 << (operator.index(t) - 1)
+    return mask
 
 
 def xor_rows(mask: int, rows: Sequence[int]) -> int:

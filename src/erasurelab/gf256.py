@@ -130,12 +130,10 @@ class MdsCode(ErasureCodec):
         super().__init__(n, k)
         self.generator = generator
 
-    def _parity(self, source: Sequence[bytes], p: int, size: int) -> list[bytes]:
-        # shapes stay explicit: reshape cannot infer a -1 axis from 0-byte packets
-        src = np.frombuffer(b"".join(source), dtype=np.uint8).reshape(self.k, size)
-        parity = combine(self.generator[:, self.k:self.k + p].T, src,
-                         np.zeros((p, size), dtype=np.uint8))
-        return [row.tobytes() for row in parity]
+    def _parity(self, block: np.ndarray, p: int) -> np.ndarray:
+        k = self.k
+        return combine(self.generator[:, k:k + p].T, block[:k],
+                       np.zeros((p, block.shape[1]), dtype=np.uint8))
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """With e sources lost and at least e parity packets, solve for the

@@ -5,11 +5,11 @@ words by counter, so results never depend on evaluation order or on how work
 is split across workers.
 
 Erasure masks are the hot path of the Monte-Carlo loss rate. Bit t of
-receiver r's mask depends on (seed, r, t) alone, so `erasure_masks` draws
-them in pieces of _PIECE receivers, mixes each packet's words in place in
-scratch buffers that fit the core's cache and folds its loss bits into byte
-accumulators; the masks are bit-identical to `erasure_mask` applied one
-receiver at a time, for any piece size.
+receiver r's mask is set when word t of the stream rooted at word r of the
+receiver stream lies below p_e * 2**64, so it depends on (seed, r, t) alone:
+`erasure_masks` draws them in pieces of _PIECE receivers, mixes each
+packet's words in place in scratch buffers that fit the core's cache and
+folds its loss bits into byte accumulators, and no piece size changes a bit.
 """
 from __future__ import annotations
 
@@ -83,29 +83,9 @@ def check_probability(p_e: float) -> None:
         raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
 
 
-def _threshold(first: int, count: int, packets: int, p_e: float) -> int:
-    """Loss threshold on a 64-bit word, once the draw's arguments are checked."""
-    check_probability(p_e)
-    if first < 0 or count < 0 or first + count > 2**64:
-        raise ValueError(f"receivers must lie in [0, 2**64), got first={first}, count={count}")
-    check_packets(packets)
-    return int(p_e * 2.0**64)
-
-
-def erasure_mask(seed: int, receiver: int, packets: int, p_e: float) -> int:
-    """Erasure pattern of one receiver; bit t set means packet t+1 was lost."""
-    threshold = _threshold(receiver, 1, packets, p_e)
-    base = word(substream(seed, STREAM_RECEIVER), receiver)
-    mask = 0
-    for t in range(packets):
-        if word(base, t) < threshold:
-            mask |= 1 << t
-    return mask
-
-
 def erasure_masks(seed: int, first: int, count: int, packets: int, p_e: float) -> np.ndarray:
-    """Erasure patterns of receivers first..first+count-1, bit-identical to
-    `erasure_mask` applied one receiver at a time.
+    """Erasure patterns of receivers first..first+count-1; bit t set means
+    packet t+1 was lost.
 
     Receivers are drawn in pieces of _PIECE, each packet's words mixed in
     place in scratch buffers that stay in cache. Its loss bits go into a bool
@@ -114,7 +94,11 @@ def erasure_masks(seed: int, first: int, count: int, packets: int, p_e: float) -
     piece. The buffers belong to the call, so threads may call this at once.
     Every word is still mix64 of its own counter, so the split changes no bit.
     """
-    threshold = _threshold(first, count, packets, p_e)
+    check_probability(p_e)
+    if first < 0 or count < 0 or first + count > 2**64:
+        raise ValueError(f"receivers must lie in [0, 2**64), got first={first}, count={count}")
+    check_packets(packets)
+    threshold = int(p_e * 2.0**64)
     masks = np.zeros(count, dtype=np.uint64)
     if threshold == 0:  # no word lies below 0
         return masks

@@ -10,6 +10,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,111 @@ def test_decode_hands_solve_a_read_only_block(family, monkeypatch):
     out = codec.decode({2: b"cd", 4: b"gh", **{5 + j: pkt for j, pkt in enumerate(parity)}})
     assert writeable == [False]
     assert out.recovered == dict(enumerate(SOURCE, start=1))
+
+
+@pytest.mark.parametrize("family", sorted(CODECS))
+def test_encode_hands_parity_a_read_only_block_ending_in_zeros(family, monkeypatch):
+    codec = CODECS[family]()
+    want = codec.encode(SOURCE, 4)
+    parity = type(codec)._parity
+    blocks = []
+
+    def spy(self, block, p):
+        blocks.append((block.flags.writeable, block.dtype, block.shape, block.tobytes()))
+        return parity(self, block, p)
+
+    monkeypatch.setattr(type(codec), "_parity", spy)
+    assert codec.encode(SOURCE, 4) == want
+    assert blocks == [(False, np.uint8, (5, 2), b"".join(SOURCE) + bytes(2))]
+
+
+@pytest.mark.parametrize("family", sorted(CODECS))
+def test_encode_of_bytearray_and_memoryview_sources_equals_encode_of_bytes(family):
+    codec = CODECS[family]()
+    want = codec.encode(SOURCE, 4)
+    for wrap in (bytearray, memoryview):
+        got = codec.encode([wrap(s) for s in SOURCE], 4)
+        assert got == want and all(type(pkt) is bytes for pkt in got)
+
+
+def _received(codec):
+    """Sources 2 and 4 and all four parity packets of SOURCE."""
+    parity = codec.encode(SOURCE, 4)
+    return {2: b"cd", 4: b"gh", **{5 + j: pkt for j, pkt in enumerate(parity)}}
+
+
+@pytest.mark.parametrize("family", sorted(CODECS))
+def test_decode_of_a_one_shot_generator_equals_decode_of_the_dict(family):
+    codec = CODECS[family]()
+    received = _received(codec)
+    want = codec.decode(received)
+    got = codec.decode((i, pkt) for i, pkt in received.items())
+    assert list(got.recovered.items()) == list(want.recovered.items())
+    assert got.unrecoverable == want.unrecoverable == frozenset()
+
+
+@pytest.mark.parametrize("family", sorted(CODECS))
+def test_decode_returns_bytearray_and_memoryview_packets_as_bytes(family):
+    codec = CODECS[family]()
+    received = _received(codec)
+    for wrap in (bytearray, memoryview):
+        out = codec.decode({i: wrap(pkt) for i, pkt in received.items()})
+        assert out.recovered == dict(enumerate(SOURCE, start=1))
+        assert all(type(pkt) is bytes for pkt in out.recovered.values())
+
+
+# one malformed pair per rule, after a well-formed (1, b"ab")
+BAD_PAIRS = {
+    "packet index 9 out of range": (9, b"cd"),
+    "duplicate packet index 1": (1, b"ab"),
+    "received packets must have equal length": (2, b"cde"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CODECS))
+def test_the_first_malformed_pair_decides_the_message(family):
+    codec = CODECS[family]()
+    for first, second in [(a, b) for a in BAD_PAIRS for b in BAD_PAIRS if a != b]:
+        with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
+            codec.decode([(1, b"ab"), BAD_PAIRS[first], BAD_PAIRS[second]])
+    # one pair with two faults: the index range, then a repeat, then the length
+    for pair, message in [((9, b"cde"), "packet index 9 out of range"),
+                          ((1, b"abc"), "duplicate packet index 1")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            codec.decode([(1, b"ab"), pair])
+
+
+# k = 70: indices past 64 do not fit a numpy int64 shift
+WIDE_CODECS = {
+    "mds": lambda: build_mds(80, 70),
+    "fountain": lambda: FountainCode(70, 1, n=80),
+    "polar": lambda: polar_for_parity(70, 10, 0.05),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CODECS))
+@pytest.mark.parametrize("k", [4, 70])
+def test_numpy_integer_indices_give_the_int_results(family, k):
+    codec = (CODECS if k == 4 else WIDE_CODECS)[family]()
+    gen = random.Random(k)
+    source = [gen.randbytes(3) for _ in range(k)]
+    lost = {1, 3} if k == 4 else {2, 66, 67, 70}
+    packets = {i: pkt for i, pkt in enumerate(source + codec.encode(source, codec.parity_limit), 1)
+               if i not in lost}
+    want = codec.decode(packets)
+    assert lost & set(want.recovered)  # parity repaired a source
+    got = codec.decode({np.int64(i): pkt for i, pkt in packets.items()})
+    assert list(got.recovered.items()) == list(want.recovered.items())
+    assert got.unrecoverable == want.unrecoverable
+    assert all(type(i) is int for i in [*got.recovered, *got.unrecoverable])
+    assert (codec.unrecovered_sources(map(np.int64, packets))
+            == codec.unrecovered_sources(packets))
+    sets = [frozenset(lost), frozenset(sorted(lost)[1:]), frozenset({k})]
+    rounds = codec.parity_limit
+    assert (codec.recovery_rows([frozenset(map(np.int64, s)) for s in sets], rounds)
+            == codec.recovery_rows(sets, rounds))
+    with pytest.raises(TypeError):
+        codec.decode({2.0: source[1]})
 
 
 def test_mds_decode_with_fewer_parity_than_losses_recovers_nothing():

@@ -68,8 +68,8 @@ CONTRACTS = [
      "need 1 <= e_max <= k, got e_max=1"),
     ("enumerate_patterns probability",
      lambda: multicast.enumerate_patterns(4, 1, 1.5), PROBABILITY.format(1.5)),
-    ("erasure_mask probability",
-     lambda: rng.erasure_mask(0, 0, 8, -0.5), PROBABILITY.format(-0.5)),
+    ("erasure_masks negative probability",
+     lambda: rng.erasure_masks(0, 0, 4, 8, -0.5), PROBABILITY.format(-0.5)),
     ("erasure_masks probability",
      lambda: rng.erasure_masks(0, 0, 4, 8, 1.5), PROBABILITY.format(1.5)),
     ("channel_epsilon probability", lambda: cli.channel_epsilon(1.5), PROBABILITY.format(1.5)),

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erasurelab import build_mds, gf2
-from erasurelab.codec import DecodeResult, ExplicitXorCodec, normalize_received
+from erasurelab.codec import DecodeResult, ExplicitXorCodec
 from erasurelab.fountain import FountainCode
 from erasurelab.gf256 import MUL_TABLE, Gf256Matrix, MdsCode
 from erasurelab.polar import polar_for_parity
@@ -124,11 +124,27 @@ def test_packed_elimination_matches_the_tuple_reference(case):
         assert gf2.reduce_echelon(rows) == got
 
 
+def read_pairs(received, n: int) -> dict[int, bytes]:
+    """The reference decoders' own reader of (index, packet) pairs, a dict or
+    an iterable: each pair is checked, in order, for an index outside 1..n,
+    a repeated index and a length unlike the first packet's."""
+    out: dict[int, bytes] = {}
+    for i, pkt in received.items() if isinstance(received, dict) else received:
+        if i not in range(1, n + 1):
+            raise ValueError(f"packet index {i} out of range")
+        if i in out:
+            raise ValueError(f"duplicate packet index {i}")
+        if out and len(pkt) != len(next(iter(out.values()))):
+            raise ValueError("received packets must have equal length")
+        out[i] = bytes(pkt)
+    return out
+
+
 def reference_decode(codec, received) -> DecodeResult:
     """Simple path: remap each parity column into a dense space of the
     missing source packets and subtract each known source from every row
     that covers it; payloads ride along as xor right-hand sides."""
-    packets = normalize_received(received, codec.n)
+    packets = read_pairs(received, codec.n)
     known = {i: pkt for i, pkt in packets.items() if i <= codec.k}
     missing = [i for i in range(1, codec.k + 1) if i not in known]
     if not missing:
@@ -168,7 +184,7 @@ def reference_mds_decode(codec, received) -> DecodeResult:
     the lowest-numbered e parity packets one scaled packet at a time, invert
     the e x e submatrix with reference_invert and apply it; with fewer,
     return the received sources as they are."""
-    packets = normalize_received(received, codec.n)
+    packets = read_pairs(received, codec.n)
     known = {i: pkt for i, pkt in packets.items() if i <= codec.k}
     missing = [i for i in range(1, codec.k + 1) if i not in known]
     if not missing or len(packets) < codec.k:

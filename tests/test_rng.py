@@ -35,6 +35,19 @@ def reference_erasure_masks(seed: int, first: int, count: int, packets: int,
     return masks
 
 
+def erasure_mask(seed: int, receiver: int, packets: int, p_e: float) -> int:
+    """The scalar draw, one receiver and one word at a time: bit t is set,
+    packet t+1 lost, when word t of the receiver's stream lies below p_e *
+    2**64."""
+    threshold = int(p_e * 2.0**64)
+    base = rng.word(rng.substream(seed, rng.STREAM_RECEIVER), receiver)
+    mask = 0
+    for t in range(packets):
+        if rng.word(base, t) < threshold:
+            mask |= 1 << t
+    return mask
+
+
 def test_word_is_deterministic_and_64_bit():
     a = rng.word(12345, 0)
     assert a == rng.word(12345, 0)
@@ -67,12 +80,10 @@ def test_word_uniformity_rough():
     assert abs(mean / 2.0**63 - 1.0) < 0.02
 
 
-def test_erasure_mask_matches_probability():
-    total = 0
+def test_erasure_masks_match_probability():
     packets = 32
     receivers = 5000
-    for r in range(receivers):
-        total += rng.erasure_mask(3, r, packets, 0.1).bit_count()
+    total = int(np.bitwise_count(rng.erasure_masks(3, 0, receivers, packets, 0.1)).sum())
     freq = total / (receivers * packets)
     # binomial std error at p=0.1 over 160k draws is about 7.5e-4
     assert abs(freq - 0.1) < 0.005
@@ -82,7 +93,7 @@ def test_vectorized_masks_match_scalar():
     for seed in (0, 1, 42):
         vec = rng.erasure_masks(seed, first=17, count=300, packets=24, p_e=0.05)
         for i in range(300):
-            assert int(vec[i]) == rng.erasure_mask(seed, 17 + i, 24, 0.05)
+            assert int(vec[i]) == erasure_mask(seed, 17 + i, 24, 0.05)
 
 
 def test_vectorized_masks_edge_probabilities():
@@ -101,7 +112,7 @@ def test_piece_boundaries_change_no_bit(monkeypatch):
                 for p_e in (0.0, 0.05, 1.0):
                     got = rng.erasure_masks(9, first, count, packets, p_e)
                     assert got.dtype == np.uint64 and got.shape == (count,)
-                    want = [rng.erasure_mask(9, first + i, packets, p_e) for i in range(count)]
+                    want = [erasure_mask(9, first + i, packets, p_e) for i in range(count)]
                     assert got.tolist() == want, (first, count, packets, p_e)
 
 
@@ -113,7 +124,7 @@ def test_accumulator_byte_boundaries_change_no_bit(monkeypatch):
         for first, count in ((0, 7), (5, 16), (2**40 + 3, 23)):
             for p_e in (0.05, 0.5, 0.999):
                 got = rng.erasure_masks(4, first, count, packets, p_e)
-                want = [rng.erasure_mask(4, first + i, packets, p_e) for i in range(count)]
+                want = [erasure_mask(4, first + i, packets, p_e) for i in range(count)]
                 assert got.tolist() == want, (packets, first, count, p_e)
 
 
@@ -165,12 +176,18 @@ def test_full_size_draw_equals_the_whole_array_draw():
     (2**64, 1, 16, 0.05), (0, 1, 65, 0.1), (0, 1, -1, 0.1),
     (0, -1, 16, 0.05), (2**64 - 1, 2, 16, 0.05),
 ])
-def test_both_draws_reject_bad_arguments(first, count, packets, p_e):
+def test_erasure_masks_rejects_bad_arguments(first, count, packets, p_e):
     with pytest.raises(ValueError):
         rng.erasure_masks(0, first, count, packets, p_e)
-    if count == 1:  # the same receiver, drawn alone
-        with pytest.raises(ValueError):
-            rng.erasure_mask(0, first, packets, p_e)
+
+
+def test_the_last_receiver_draws_alone():
+    # receivers lie in [0, 2**64): the last one is in range, and one past it raises
+    got = rng.erasure_masks(5, 2**64 - 1, 1, 16, 0.5)
+    assert got.tolist() == [erasure_mask(5, 2**64 - 1, 16, 0.5)]
+    with pytest.raises(ValueError, match=r"^receivers must lie in \[0, 2\*\*64\), "
+                                         r"got first=18446744073709551616, count=1$"):
+        rng.erasure_masks(5, 2**64, 1, 16, 0.5)
 
 
 def test_mask_partition_independence():
