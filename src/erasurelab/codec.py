@@ -29,9 +29,10 @@ class DecodeResult:
 class ErasureCodec:
     """Systematic codec for one fixed block of n packets: k sources and
     parity_limit = n - k parity packets. The base class owns the checks, the
-    split into sources and parity of every operation, both packet blocks and
-    the drop of masks that lose no source; families supply only `_parity`
-    for `encode`, `_solve(block, missing, js)` for `decode`, `_unsolved` for
+    split into sources and parity of every operation, both packet blocks,
+    encode's table cache and the drop of masks that lose no source; families
+    supply only `_parity_tables(p, size)` and `_parity(block, p, tables)` for
+    `encode`, `_solve(block, missing, js)` for `decode`, `_unsolved` for
     `unrecovered_sources`, `_unsolved_totals` for `unrecovered_totals` and
     `_recovery_rows` for `recovery_rows`. MDS answers `_recovery_rows` in
     closed form; the xor codecs ask `unrecovered_sources` once per round whose
@@ -41,7 +42,9 @@ class ErasureCodec:
     t, and the last row is zeros. Encode's block is the k sources and that
     row. Decode's has zeros where a source is lost, then the received parity
     packets js in index order, then the row of zeros. `_parity` and `_solve`
-    return rows, which the base class turns into bytes.
+    return rows, which the base class turns into bytes. Encode keeps the
+    tables of its last (p, size), built on the first encode of that shape:
+    the planner builds codecs that never encode.
 
     `family` names the family whose constructor build_codec maps it to, or is
     None for a codec that belongs to no family."""
@@ -54,6 +57,7 @@ class ErasureCodec:
         self.k = k
         self.parity_limit = n - k
         self._sources = frozenset(range(1, k + 1))
+        self._tables: tuple = (None, None, None)  # (p, size, _parity_tables) of the last encode
 
     def _check_parity_index(self, j: int) -> None:
         if not 1 <= j <= self.parity_limit:
@@ -65,10 +69,14 @@ class ErasureCodec:
             raise ValueError(f"expected {self.k} source packets, got {len(source)}")
         if not 0 <= p <= self.parity_limit:
             raise ValueError(f"parity count {p} out of range")
-        size = len(source[0])
-        if any(len(s) != size for s in source):
+        if len(set(map(len, source))) > 1:
             raise ValueError("source packets must have equal length")
-        return [row.tobytes() for row in self._parity(_block([*source, bytes(size)], size), p)]
+        size = len(source[0])
+        cached = self._tables  # read once: another thread may replace it
+        if cached[0] != p or cached[1] != size:
+            cached = self._tables = (p, size, self._parity_tables(p, size))
+        block = _block([*source, bytes(size)], size)
+        return [row.tobytes() for row in self._parity(block, p, cached[2])]
 
     def decode(self, received) -> DecodeResult:
         """Recover source packets from (index, packet) pairs, a mapping or an
@@ -76,40 +84,39 @@ class ErasureCodec:
         family's solve recovers what it can of the rest from the received
         parity."""
         k, n = self.k, self.n
-        sources: list = [None] * k  # source t at t-1 as bytes, None while lost
-        parity: dict[int, bytes] = {}
-        seen = 0  # bit i-1: packet i arrived
+        slots: list = [None] * n  # packet i at i-1 as bytes, None until it arrives
         size = None
         for idx, pkt in received.items() if isinstance(received, Mapping) else received:
             if not 1 <= idx <= n:
                 raise ValueError(f"packet index {idx} out of range")
-            i = operator.index(idx)
-            bit = 1 << (i - 1)
-            if seen & bit:
+            i = operator.index(idx) - 1
+            if slots[i] is not None:
                 raise ValueError(f"duplicate packet index {idx}")
-            if size is None:
+            if len(pkt) != size:
+                if size is not None:
+                    raise ValueError("received packets must have equal length")
                 size = len(pkt)
-            elif len(pkt) != size:
-                raise ValueError("received packets must have equal length")
-            seen |= bit
-            if i <= k:
-                sources[i - 1] = bytes(pkt)
-            else:
-                parity[i - k] = bytes(pkt)
-        missing = ~seen & ((1 << k) - 1)
-        if missing and parity:
-            js = sorted(parity)
+            slots[i] = pkt if type(pkt) is bytes else bytes(pkt)
+        sources = slots[:k]
+        js = [j for j, pkt in enumerate(slots[k:], 1) if pkt is not None]
+        if js and None in sources:
             zero = bytes(size)
             block = _block([zero if s is None else s for s in sources]
-                           + [parity[j] for j in js] + [zero], size)
+                           + [slots[k + j - 1] for j in js] + [zero], size)
+            missing = gf2.pack(i for i, s in enumerate(sources, 1) if s is None)
             for i, row in self._solve(block, missing, js).items():
                 sources[i - 1] = row.tobytes()
-                missing ^= 1 << (i - 1)
-        return DecodeResult(recovered={i: s for i, s in enumerate(sources, 1) if s is not None},
-                            unrecoverable=frozenset(gf2.ones(missing)))
+        recovered = {i: s for i, s in enumerate(sources, 1) if s is not None}
+        return DecodeResult(recovered=recovered,
+                            unrecoverable=self._sources.difference(recovered))
 
-    def _parity(self, block: np.ndarray, p: int) -> Iterable[np.ndarray]:
-        """Parity rows 1..p of encode's (k + 1, size) block."""
+    def _parity_tables(self, p: int, size: int):
+        """The kernel tables of `_parity` for parity rows 1..p of size bytes."""
+        raise NotImplementedError
+
+    def _parity(self, block: np.ndarray, p: int, tables) -> Iterable[np.ndarray]:
+        """Parity rows 1..p of encode's (k + 1, size) block, from the tables
+        that `_parity_tables(p, size)` built."""
         raise NotImplementedError
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
@@ -185,21 +192,17 @@ class ExplicitXorCodec(ErasureCodec):
     def __init__(self, k: int, masks: Sequence[int]):
         super().__init__(k + len(masks), k)
         self.masks = tuple(m & ((1 << k) - 1) for m in masks)
-        # (p, size, gf2.xor_tables) of the last encode, built on the first
-        # encode of that shape: the planner builds codecs that never encode
-        self._tables: tuple = (None, None, None)
 
     def parity_mask(self, j: int) -> int:
         self._check_parity_index(j)
         return self.masks[j - 1]
 
-    def _parity(self, block: np.ndarray, p: int) -> list[np.ndarray]:
-        size = block.shape[1]
-        cached = self._tables  # read once: another thread may replace it
-        if cached[:2] != (p, size):
-            cached = self._tables = (p, size, gf2.xor_tables(self.masks[:p], self.k, size))
+    def _parity_tables(self, p: int, size: int) -> tuple:
+        return gf2.xor_tables(self.masks[:p], self.k, size)
+
+    def _parity(self, block: np.ndarray, p: int, tables: tuple) -> list[np.ndarray]:
         # the block's last row is zeros, the row xor_tables pads with
-        return gf2.xor_apply(block, cached[2])
+        return gf2.xor_apply(block, tables)
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """Gaussian elimination over the received parity equations with the

@@ -78,20 +78,26 @@ def xor_tables(rows: Sequence[int], width: int, size: int) -> tuple[list[int], l
     _GATHER_BYTES and at least one output."""
     counts = [r.bit_count() for r in rows]
     order = sorted(range(len(rows)), key=counts.__getitem__)
-    shapes: list[tuple[int, int]] = []  # (outputs, w) per group
-    for c in (counts[i] for i in order):
+    shapes: list[list[int]] = []  # [outputs, w] per group
+    for c in map(counts.__getitem__, order):
         if shapes and (c.bit_length() == shapes[-1][1].bit_length()
                        or shapes[-1][0] * (c - shapes[-1][1]) * size <= _MERGE_BYTES):
-            shapes[-1] = (shapes[-1][0] + 1, c)
+            shapes[-1][0] += 1
+            shapes[-1][1] = c
         else:
-            shapes.append((1, c))
-    # ones above bit `width` pad each row to its group's w, so one unpack lists every table
-    widths = [w for g, w in shapes for _ in range(g)]
-    nbytes = (width + max(widths, default=0) + 7) // 8
-    packed = b"".join([(rows[i] | ((1 << (w - counts[i])) - 1) << width).to_bytes(nbytes, "little")
-                       for i, w in zip(order, widths)])
-    flat = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), nbytes),
-                         axis=1, bitorder="little").nonzero()[1]
+            shapes.append([1, c])
+    # ones above bit `width` pad each row to its group's w, so one unpack lists
+    # every table; the last group's w is the largest
+    nbytes = (width + (shapes[-1][1] if shapes else 0) + 7) // 8
+    padded, at = [], 0
+    for g, w in shapes:
+        padded += [rows[i] | ((1 << (w - counts[i])) - 1) << width for i in order[at:at + g]]
+        at += g
+    bits = np.unpackbits(np.frombuffer(b"".join([r.to_bytes(nbytes, "little") for r in padded]),
+                                       dtype=np.uint8), bitorder="little")
+    # nonzero runs several times faster on bools than on uint8
+    flat = bits.view(np.bool_).nonzero()[0]
+    flat %= 8 * nbytes
     pieces, at, lo = [], 0, 0
     for g, w in shapes:
         table = flat[lo:lo + g * w].reshape(g, w)
@@ -133,8 +139,12 @@ def reduce_augmented(rows: Iterable[int], unknowns: int) -> list[int]:
 
 
 def _eliminate(rows: Iterable[int], unknowns: int) -> list[int]:
-    """Reduced echelon basis sorted by pivot, the lowest unknown bit of a row."""
+    """Reduced echelon basis sorted by pivot, the lowest unknown bit of a row.
+    It returns once every unknown bit has a pivot: each later row would
+    reduce to zero on the unknowns and be dropped. With all bits unknown, -1,
+    that never happens, and every row is read."""
     basis: dict[int, int] = {}
+    free = unknowns  # unknown bits with no pivot yet
     for r in rows:
         for p, q in basis.items():
             if r & p:
@@ -147,6 +157,9 @@ def _eliminate(rows: Iterable[int], unknowns: int) -> list[int]:
             if basis[pk] & p:
                 basis[pk] ^= r
         basis[p] = r
+        free ^= p
+        if not free:
+            break
     return [basis[p] for p in sorted(basis)]
 
 

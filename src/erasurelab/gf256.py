@@ -6,11 +6,12 @@ import, and the row of inverses read from it. One elimination, reduce_on,
 turns chosen columns into the identity for build_mds and MDS decode. One
 matrix product, combine, gathers for each source packet one word of products
 per payload byte, so a block's parity costs one word-wide gather per source
-packet byte however many parity rows it has.
+packet byte however many parity rows it has. combine_tables builds its
+product tables; encode keeps them, decode builds them per call.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,41 +37,60 @@ del _x, _i, _exp, _log
 # _INVERSE[a] * a = 1 for a != 0; row 0 of MUL_TABLE holds no 1, so _INVERSE[0] = 0
 _INVERSE = (MUL_TABLE == 1).argmax(axis=1).astype(np.uint8)
 
-_TABLE_BYTES = 1 << 20  # combine's tables at once: 102 source rows if encode's p or decode's e is 40
-# combine's payload indices at once, cast to intp: 43 source rows of 1500 bytes
+_TABLE_BYTES = 1 << 20  # tables per combine piece: 102 source rows if encode's p or decode's e is 40
+# payload indices per combine piece, cast to intp: 43 source rows of 1500 bytes
 _INDEX_BYTES = 1 << 19
 
 
-def combine(coeffs: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """GF(256) matrix product: xor coeffs @ rows into acc and return acc.
+def _word(r: int) -> tuple[int, np.dtype]:
+    """The bytes of combine's product word for r > 0 outputs, r padded to 1,
+    2 or 4 or a multiple of 8, and the unsigned dtype its tables are read as."""
+    width = r if r <= 2 else 4 if r <= 4 else -(-r // 8) * 8
+    return width, np.dtype(f"u{min(width, 8)}")
 
-    coeffs is (r, m), rows (m, size) and acc (r, size), all uint8. Source row
-    t gets a (256, r) table whose row b holds the r products b * coeffs[:, t],
-    padded to a word of 1, 2 or 4 bytes or a multiple of 8. One gather along
-    the payload then fetches all r products of each payload byte at once into
-    a transposed (size, word) accumulator, which is xored into acc at the end.
-    All-zero columns are skipped; tables are built _TABLE_BYTES, and payload
-    rows cast to gather indices _INDEX_BYTES, at a time.
+
+def combine_tables(coeffs: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """combine's tables for the (r, m) uint8 coeffs over source rows of
+    `size` bytes, yielded one (part, tables) piece at a time, so that combine
+    gathers from a piece while it is still in cache; encode keeps them as a
+    list. Source row t gets a (256, r) table whose row b holds the r products
+    b * coeffs[:, t], padded to combine's word; all-zero columns get none. A
+    piece holds the tables of the source rows `part`: at most _TABLE_BYTES of
+    tables and _INDEX_BYTES of gather indices.
     """
     r = len(coeffs)
     cols = np.flatnonzero(coeffs.any(axis=0))
     if not len(cols):  # also r = 0, which has no word to pad to
-        return acc
-    width = r if r <= 2 else 4 if r <= 4 else -(-r // 8) * 8
-    word = np.dtype(f"u{min(width, 8)}")
-    total = np.zeros((rows.shape[1], width // word.itemsize), dtype=word)
-    scaled = np.empty_like(total)
-    step = max(1, min(_TABLE_BYTES // (256 * width), _INDEX_BYTES // max(1, 8 * rows.shape[1])))
+        return
+    width, word = _word(r)
+    step = max(1, min(_TABLE_BYTES // (256 * width), _INDEX_BYTES // max(1, 8 * size)))
     for start in range(0, len(cols), step):
         part = cols[start:start + step]
         tables = np.zeros((len(part), 256, width), dtype=np.uint8)
         # MUL_TABLE is symmetric: row c of it, read at b, is b * c
         tables[:, :, :r] = MUL_TABLE[coeffs[:, part].T].transpose(0, 2, 1)
-        for table, row in zip(tables.view(word), rows[part].astype(np.intp)):
+        yield part, tables.view(word)
+
+
+def combine(r: int, pieces: Iterable[tuple[np.ndarray, np.ndarray]],
+            rows: np.ndarray) -> np.ndarray:
+    """GF(256) matrix product coeffs @ rows, an (r, size) uint8 array, from
+    the pieces of combine_tables(coeffs, size) and the (m, size) uint8 rows.
+    Per source row, one gather along the payload fetches all r products of
+    each payload byte at once into a transposed (size, word) accumulator;
+    a piece's payload rows are cast to gather indices together. The result
+    is a strided view of that accumulator.
+    """
+    if not r:
+        return np.zeros((0, rows.shape[1]), dtype=np.uint8)
+    width, word = _word(r)
+    total = np.zeros((rows.shape[1], width // word.itemsize), dtype=word)
+    scaled = np.empty_like(total)
+    for part, tables in pieces:
+        for table, row in zip(tables, rows[part].astype(np.intp)):
             table.take(row, axis=0, out=scaled)
             total ^= scaled
-    acc ^= total.view(np.uint8)[:, :r].T
-    return acc
+    return total.view(np.uint8)[:, :r].T
 
 
 def reduce_on(a: np.ndarray, cols: Sequence[int]) -> np.ndarray | None:
@@ -130,10 +150,12 @@ class MdsCode(ErasureCodec):
         super().__init__(n, k)
         self.generator = generator
 
-    def _parity(self, block: np.ndarray, p: int) -> np.ndarray:
+    def _parity_tables(self, p: int, size: int) -> list:
         k = self.k
-        return combine(self.generator[:, k:k + p].T, block[:k],
-                       np.zeros((p, block.shape[1]), dtype=np.uint8))
+        return list(combine_tables(self.generator[:, k:k + p].T, size))
+
+    def _parity(self, block: np.ndarray, p: int, tables: list) -> np.ndarray:
+        return combine(p, tables, block[:self.k])
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """With e sources lost and at least e parity packets, solve for the
@@ -153,8 +175,7 @@ class MdsCode(ErasureCodec):
             raise AssertionError("MDS submatrix unexpectedly singular")
         solved[:, rows] = 0  # block's lost rows are zeros; combine skips zero columns
         # row c: lost source c from the received sources and parity in block[:k + e]
-        return dict(zip(lost, combine(solved, block[:k + e],
-                                      np.zeros((e, block.shape[1]), dtype=np.uint8))))
+        return dict(zip(lost, combine(e, combine_tables(solved, block.shape[1]), block[:k + e])))
 
     def _unsolved(self, missing: frozenset[int], parity: list[int]) -> frozenset[int]:
         """Every lost source is recovered once k packets of the block arrived,

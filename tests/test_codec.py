@@ -2,7 +2,9 @@
 encode and decode raises the same ValueError in each of them, 0-byte
 packets encode and decode, build_codec returns each family's own codec, and
 the xor encode and decode equal, byte for byte, the xor of the sources each
-parity column selects and the walk of each decode plan on Python ints."""
+parity column selects and the walk of each decode plan on Python ints, and
+threads that encode other shapes on one codec of any family get their own
+parity."""
 from __future__ import annotations
 
 import random
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 
 from erasurelab import (ExplicitXorCodec, FountainCode, build_codec, build_mds, gf2,
                         plr_empirical, polar_for_parity)
+from erasurelab.codec import FAMILIES
+from erasurelab.gf256 import MUL_TABLE
 
 # k = 4 source packets and a parity limit of 4 in every family
 CODECS = {
@@ -97,9 +101,9 @@ def test_encode_hands_parity_a_read_only_block_ending_in_zeros(family, monkeypat
     parity = type(codec)._parity
     blocks = []
 
-    def spy(self, block, p):
+    def spy(self, block, p, tables):
         blocks.append((block.flags.writeable, block.dtype, block.shape, block.tobytes()))
-        return parity(self, block, p)
+        return parity(self, block, p, tables)
 
     monkeypatch.setattr(type(codec), "_parity", spy)
     assert codec.encode(SOURCE, 4) == want
@@ -274,8 +278,16 @@ def xor_codecs(draw):
 
 def reference_parity(codec, source, p):
     """The xor encode on Python ints: parity j xors the sources its column
-    selects."""
+    selects. For MDS, parity j xors each source scaled by its entry of
+    generator column k + j, one source at a time."""
     size = len(source[0])
+    if codec.family == "mds":
+        column = codec.generator[:, codec.k:codec.k + p]
+        rows = np.frombuffer(b"".join(source), dtype=np.uint8).reshape(len(source), size)
+        parity = np.zeros((p, size), dtype=np.uint8)
+        for t, row in enumerate(rows):
+            parity ^= MUL_TABLE[column[t]][:, row]
+        return [row.tobytes() for row in parity]
     ints = [int.from_bytes(s, "little") for s in source]
     return [gf2.xor_rows(codec.parity_mask(j), ints).to_bytes(size, "little")
             for j in range(1, p + 1)]
@@ -343,11 +355,12 @@ def test_xor_encode_of_zero_full_and_repeated_columns(size):
         assert codec.encode(source, p) == reference_parity(codec, source, p)
 
 
-def test_threads_encoding_other_shapes_on_one_codec_get_their_own_parity():
-    # the codec keeps the tables of its last encode: each thread cycles
-    # through four parity counts and sizes, so the threads replace the
+@pytest.mark.parametrize("family", FAMILIES)
+def test_threads_encoding_other_shapes_on_one_codec_get_their_own_parity(family):
+    # every family's codec keeps the tables of its last encode: each thread
+    # cycles through four parity counts and sizes, so the threads replace the
     # tables under one another
-    codec = FountainCode(24, 5, n=32)
+    codec = build_codec(family, 32, 24, seed=5)
     gen = random.Random(5)
     jobs = [([gen.randbytes(size) for _ in range(24)], p) for size in (16, 40) for p in (3, 8)]
     want = [reference_parity(codec, source, p) for source, p in jobs]

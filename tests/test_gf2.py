@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasurelab import gf2
 from erasurelab.gf2 import kernel_entry
@@ -203,3 +205,52 @@ def test_weight_one_rows_invariant_under_equation_order():
         shuffled = rows[:]
         rnd.shuffle(shuffled)
         assert determined(rows) == determined(shuffled)
+
+
+def reference_augmented(rows: list[int], unknowns: int) -> list[int]:
+    """Gauss-Jordan over every row: a forward pass that keeps each row that
+    brings a new pivot (its lowest unknown bit), reduced only by the pivots
+    before it, then back substitution from the highest pivot down."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        for p in sorted(pivots):
+            if r & p:
+                r ^= pivots[p]
+        if r & unknowns:
+            pivots[r & unknowns & -(r & unknowns)] = r
+    for p in sorted(pivots, reverse=True):
+        for q in pivots:
+            if q != p and pivots[q] & p:
+                pivots[q] ^= pivots[p]
+    return [pivots[p] for p in sorted(pivots)]
+
+
+@st.composite
+def systems(draw):
+    """Up to 7 unknown bits among 12, rows over the 12 bits with zero and
+    repeated rows, and more rows than unknowns, so that full rank is often
+    reached before the last row."""
+    unknowns = draw(st.integers(0, (1 << 12) - 1).filter(lambda u: u.bit_count() <= 7))
+    rows = draw(st.lists(st.integers(0, (1 << 12) - 1), max_size=14))
+    rows += draw(st.lists(st.sampled_from([0, *rows]), max_size=5))
+    return draw(st.permutations(rows)), unknowns
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=systems())
+def test_reduce_augmented_equals_an_elimination_that_reads_every_row(system):
+    rows, unknowns = system
+    assert gf2.reduce_augmented(rows, unknowns) == reference_augmented(rows, unknowns)
+    # with every bit unknown the elimination reads every row, as before
+    assert gf2.reduce_echelon(rows) == reference_augmented(rows, -1)
+
+
+def test_reduce_augmented_stops_reading_at_full_rank():
+    # both unknowns have a pivot after two rows, so the third is never read
+    rows = iter([0b01 | 1 << 2, 0b10 | 1 << 3, 0b11 | 1 << 4])
+    assert gf2.reduce_augmented(rows, 0b11) == [0b01 | 1 << 2, 0b10 | 1 << 3]
+    assert list(rows) == [0b11 | 1 << 4]
+    # reduce_echelon reads them all
+    rows = iter([0b01, 0b10, 0b100])
+    assert gf2.reduce_echelon(rows) == [0b01, 0b10, 0b100]
+    assert list(rows) == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurelab.gf256 import MUL_TABLE, Gf256Matrix, build_mds, combine, reduce_on
+from erasurelab.gf256 import MUL_TABLE, Gf256Matrix, build_mds, combine, combine_tables, reduce_on
 
 
 def slow_mul(a: int, b: int) -> int:
@@ -72,13 +72,14 @@ def test_combine_matches_reference_combine(data):
 
     r = data.draw(st.integers(0, 10))
     m, size = (data.draw(st.integers(0, 6)) for _ in range(2))
-    coeffs, rows, acc = matrix(r, m), matrix(m, size), matrix(r, size)
+    coeffs, rows = matrix(r, m), matrix(m, size)
     # all-zero coefficient rows and columns, which the matrix form skips
     coeffs[flags(r)] = 0
     coeffs[:, flags(m)] = 0
-    expect = reference_combine(coeffs, rows, acc.copy())
-    assert combine(coeffs, rows, acc) is acc
-    assert acc.tobytes() == expect.tobytes()
+    expect = reference_combine(coeffs, rows, np.zeros((r, size), dtype=np.uint8))
+    got = combine(r, combine_tables(coeffs, size), rows)
+    assert got.shape == (r, size) and got.dtype == np.uint8
+    assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17])
@@ -88,20 +89,17 @@ def test_combine_matches_reference_at_every_word_width(r, m, size):
     # r crosses each padding of combine's product words: 1, 2, 4, 8 and 16 bytes
     gen = np.random.default_rng(r * 10_000 + m * 100 + size)
     rows = gen.integers(0, 256, (m, size), dtype=np.uint8)
-    # coeffs as the transposed view MdsCode._parity passes, with a zero column
+    # coeffs as the transposed view MdsCode._parity_tables passes, with a zero column
     coeffs = gen.integers(0, 256, (m, r), dtype=np.uint8).T
     if m > 1:
         coeffs[:, 0] = 0
-    # acc as a row slice of a larger block, as MdsCode._solve passes it
-    block = gen.integers(0, 256, (m + r + 1, size), dtype=np.uint8)
-    acc = block[m:m + r]
-    before = block.copy()
-    expect = reference_combine(coeffs, rows, acc.copy())
-    assert combine(coeffs, rows, acc) is acc
-    assert acc.tobytes() == expect.tobytes()
-    # the rows around the slice are untouched
-    assert block[:m].tobytes() == before[:m].tobytes()
-    assert block[m + r:].tobytes() == before[m + r:].tobytes()
+    # rows as a read-only block, as encode and decode pass it
+    rows.flags.writeable = False
+    tables = list(combine_tables(coeffs, size))
+    expect = reference_combine(coeffs, rows, np.zeros((r, size), dtype=np.uint8))
+    # twice: the listed tables are only read, as encode reads its stored ones
+    for _ in range(2):
+        assert combine(r, tables, rows).tobytes() == expect.tobytes()
 
 
 def reference_invert(matrix: Gf256Matrix) -> Gf256Matrix | None:
@@ -208,7 +206,7 @@ def test_matrix_inverse_round_trip():
         if inv is None:
             continue
         inverted += 1
-        product = combine(m.data, inv.data, np.zeros((n, n), dtype=np.uint8))
+        product = combine(n, combine_tables(m.data, n), inv.data)
         assert (product == np.eye(n, dtype=np.uint8)).all()
     assert inverted > 40  # a random n x n matrix over GF(256) is singular about 1 time in 255
 

@@ -70,6 +70,25 @@ def test_bhattacharyya_matches_exact_oracle():
             assert quality_order(approx) == exact_order, (levels, eps)
 
 
+@pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.1, 0.3, 0.5])
+def test_bhattacharyya_respects_the_subset_order(epsilon):
+    # a channel whose index bits (c' - 1) hold those of another (c - 1) is at
+    # least as good: z_c >= z_c' on every such pair of the float recursion
+    pairs = 0
+    for levels in range(1, 9):
+        z = bhattacharyya(levels, epsilon)
+        top = len(z) - 1
+        for a in range(len(z)):
+            free = top & ~a
+            extra = free
+            while extra:  # every nonempty subset of the bits a lacks
+                assert z[a] >= z[a | extra], (levels, a + 1, (a | extra) + 1)
+                pairs += 1
+                extra = (extra - 1) & free
+    # pairs a < b with a's bits inside b's: 3**levels - 2**levels per level
+    assert pairs == sum(3**levels - 2**levels for levels in range(1, 9)) == 9330
+
+
 def test_bhattacharyya_validation():
     with pytest.raises(ValueError):
         bhattacharyya(0, 0.5)
