@@ -206,12 +206,12 @@ def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, wor
         return
     p = 1
     while k + p <= rng.MAX_PACKETS:
+        # the smallest power of two above k that holds k + p <= 64: the block is at most 64
         codec = build_codec("polar", k + p, k, epsilon=p_e)
-        block = codec.n
-        n = min(block, rng.MAX_PACKETS)
+        n = codec.n
         totals = _lost_totals(codec, n, p_e, receivers, seed, workers)
         for j in range(p, n - k + 1):
-            yield j, totals[j] / (receivers * k), block
+            yield j, totals[j] / (receivers * k), n
         p = n - k + 1
 
 
@@ -283,7 +283,10 @@ def delay_budget(rtt: float, packet_interval: float, k: int, encode_delay: float
     then each repair round costs a full round trip plus transmissions both
     ways, and decoding closes the budget.
     """
-    if min(rtt, packet_interval, encode_delay, decode_delay, transmit_delay) < 0:
+    delays = (rtt, packet_interval, encode_delay, decode_delay, transmit_delay)
+    if not all(map(math.isfinite, delays)):  # NaN passes the sign check below
+        raise ValueError("delay components must be finite")
+    if min(delays) < 0:
         raise ValueError("delay components must be non-negative")
     if k < 0 or repair_rounds < 0:
         raise ValueError("counts must be non-negative")
@@ -294,6 +297,8 @@ def delay_budget(rtt: float, packet_interval: float, k: int, encode_delay: float
 def collectable_packets(budget: float, packet_interval: float) -> int:
     """How many packets arrive within a delay budget, counting the packet at
     time zero plus one per full interval."""
+    if not (math.isfinite(budget) and math.isfinite(packet_interval)):
+        raise ValueError("budget and packet interval must be finite")
     if packet_interval <= 0:
         raise ValueError("packet interval must be positive")
     if budget < 0:

@@ -15,7 +15,6 @@ import click
 
 from . import analytics, bench, multicast, rng
 from .codec import FAMILIES, build_codec
-from .polar import polar_for_parity
 
 SCHEMA_VERSION = 1
 
@@ -116,7 +115,7 @@ main.command_class = Command  # before the subcommands below are declared
 @click.option("--json", "as_json", is_flag=True, help="Also print a JSON object.")
 def construct(k, parity, epsilon, as_json):
     """Print a polar code construction: channel split, reservoir, degrees."""
-    codec = polar_for_parity(k, parity, epsilon)
+    codec = build_codec("polar", k + parity, k, epsilon=epsilon)
     fields = {
         "family": "polar",
         "block_length": codec.n,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +30,8 @@ class ErasureCodec:
     """Systematic codec for one fixed block of n packets: k sources and
     parity_limit = n - k parity packets. The base class owns the checks, the
     split into sources and parity of every operation, both packet blocks,
-    encode's table cache and the drop of masks that lose no source; families
-    supply only `_parity_tables(p, size)` and `_parity(block, p, tables)` for
+    encode's encoder cache and the drop of masks that lose no source;
+    families supply one hook per operation: `_parity_encoder(p, size)` for
     `encode`, `_solve(block, missing, js)` for `decode`, `_unsolved` for
     `unrecovered_sources`, `_unsolved_totals` for `unrecovered_totals` and
     `_recovery_rows` for `recovery_rows`. MDS answers `_recovery_rows` in
@@ -41,10 +41,10 @@ class ErasureCodec:
     A packet block is a read-only (rows, size) uint8 array: row t-1 is source
     t, and the last row is zeros. Encode's block is the k sources and that
     row. Decode's has zeros where a source is lost, then the received parity
-    packets js in index order, then the row of zeros. `_parity` and `_solve`
-    return rows, which the base class turns into bytes. Encode keeps the
-    tables of its last (p, size), built on the first encode of that shape:
-    the planner builds codecs that never encode.
+    packets js in index order, then the row of zeros. The encoder and
+    `_solve` return rows, which the base class turns into bytes. Encode
+    keeps the encoder of its last (p, size), built on the first encode of
+    that shape: the planner builds codecs that never encode.
 
     `family` names the family whose constructor build_codec maps it to, or is
     None for a codec that belongs to no family."""
@@ -57,7 +57,7 @@ class ErasureCodec:
         self.k = k
         self.parity_limit = n - k
         self._sources = frozenset(range(1, k + 1))
-        self._tables: tuple = (None, None, None)  # (p, size, _parity_tables) of the last encode
+        self._encoder: tuple = (None, None, None)  # (p, size, _parity_encoder) of the last encode
 
     def _check_parity_index(self, j: int) -> None:
         if not 1 <= j <= self.parity_limit:
@@ -72,11 +72,11 @@ class ErasureCodec:
         if len(set(map(len, source))) > 1:
             raise ValueError("source packets must have equal length")
         size = len(source[0])
-        cached = self._tables  # read once: another thread may replace it
+        cached = self._encoder  # read once: another thread may replace it
         if cached[0] != p or cached[1] != size:
-            cached = self._tables = (p, size, self._parity_tables(p, size))
+            cached = self._encoder = (p, size, self._parity_encoder(p, size))
         block = _block([*source, bytes(size)], size)
-        return [row.tobytes() for row in self._parity(block, p, cached[2])]
+        return [row.tobytes() for row in cached[2](block)]
 
     def decode(self, received) -> DecodeResult:
         """Recover source packets from (index, packet) pairs, a mapping or an
@@ -110,13 +110,9 @@ class ErasureCodec:
         return DecodeResult(recovered=recovered,
                             unrecoverable=self._sources.difference(recovered))
 
-    def _parity_tables(self, p: int, size: int):
-        """The kernel tables of `_parity` for parity rows 1..p of size bytes."""
-        raise NotImplementedError
-
-    def _parity(self, block: np.ndarray, p: int, tables) -> Iterable[np.ndarray]:
-        """Parity rows 1..p of encode's (k + 1, size) block, from the tables
-        that `_parity_tables(p, size)` built."""
+    def _parity_encoder(self, p: int, size: int) -> Callable[[np.ndarray], Iterable[np.ndarray]]:
+        """The function from encode's (k + 1, size) block to parity rows
+        1..p, with the family's kernel tables built once, here."""
         raise NotImplementedError
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
@@ -197,12 +193,10 @@ class ExplicitXorCodec(ErasureCodec):
         self._check_parity_index(j)
         return self.masks[j - 1]
 
-    def _parity_tables(self, p: int, size: int) -> tuple:
-        return gf2.xor_tables(self.masks[:p], self.k, size)
-
-    def _parity(self, block: np.ndarray, p: int, tables: tuple) -> list[np.ndarray]:
+    def _parity_encoder(self, p: int, size: int) -> Callable[[np.ndarray], list[np.ndarray]]:
+        tables = gf2.xor_tables(self.masks[:p], self.k, size)
         # the block's last row is zeros, the row xor_tables pads with
-        return gf2.xor_apply(block, tables)
+        return lambda block: gf2.xor_apply(block, tables)
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """Gaussian elimination over the received parity equations with the

@@ -205,12 +205,13 @@ def _solve_chunk(columns: Sequence[int], unknowns: np.ndarray, dropped: np.ndarr
         # a basis row is zero at every other pivot, so the rows reduce r independently
         r ^= np.bitwise_xor.reduce(held * ((r & pivots[:top]) != 0), axis=0)
         low = r & -r
-        if not low.any():
+        # nonzero runs several times faster on bools than on uint64
+        new = (low != 0).nonzero()[0]
+        if not len(new):
             continue
         hit = (held & low) != 0
         held ^= r * hit
         np.maximum(changed[:top], hit.view(np.uint8) * np.uint8(j), out=changed[:top])
-        new = low.nonzero()[0]
         slot = rank[new]
         basis[slot, new], pivots[slot, new], changed[slot, new] = r[new], low[new], j
         rank[new] += 1

@@ -7,11 +7,11 @@ turns chosen columns into the identity for build_mds and MDS decode. One
 matrix product, combine, gathers for each source packet one word of products
 per payload byte, so a block's parity costs one word-wide gather per source
 packet byte however many parity rows it has. combine_tables builds its
-product tables; encode keeps them, decode builds them per call.
+product tables; encode's encoder keeps them, decode builds them per call.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,12 +150,10 @@ class MdsCode(ErasureCodec):
         super().__init__(n, k)
         self.generator = generator
 
-    def _parity_tables(self, p: int, size: int) -> list:
+    def _parity_encoder(self, p: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
         k = self.k
-        return list(combine_tables(self.generator[:, k:k + p].T, size))
-
-    def _parity(self, block: np.ndarray, p: int, tables: list) -> np.ndarray:
-        return combine(p, tables, block[:self.k])
+        tables = list(combine_tables(self.generator[:, k:k + p].T, size))
+        return lambda block: combine(p, tables, block[:k])
 
     def _solve(self, block: np.ndarray, missing: int, js: list[int]) -> dict[int, np.ndarray]:
         """With e sources lost and at least e parity packets, solve for the

@@ -6,7 +6,9 @@ Criterion 7 is statistical and slow; it carries the `slow` marker.
 from __future__ import annotations
 
 import math
+import operator
 import time
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -160,6 +162,35 @@ def exact_loss_moments(codec, n: int, k: int, p_e: float) -> tuple[float, float]
             second.append(weight * (lost / k) ** 2)
     mu = math.fsum(first)
     return mu, math.fsum(second) - mu * mu
+
+
+def fountain_ensemble_plr(n: int, k: int, p_e):
+    """Exact loss rate of the random binary fountain code, averaged over its
+    ensemble of uniform k-bit columns; a Fraction p_e gives a Fraction.
+
+    With i sources and j parity packets lost, the m = n - k - j received
+    columns, cut down to the lost sources, are m uniform i-bit rows. Their
+    rank r follows the classical chain (a new row raises it with probability
+    1 - 2^(r - i)); given r their span is uniform over the r-dimensional
+    subspaces, so one lost source stays unsolved with probability
+    (2^i - 2^r) / (2^i - 1). The mixture weights are _analytic_plr's
+    binomial and hypergeometric ones, with C(n, e) cancelled."""
+    ratio = Fraction if isinstance(p_e, Fraction) else operator.truediv
+    p = n - k
+    terms = []
+    for i in range(1, k + 1):
+        rank = [1] + [0] * i  # distribution of the rank of m rows, from m = 0
+        for m in range(p + 1):
+            if m:
+                rank = [rank[r] * ratio(1 << r, 1 << i)
+                        + (rank[r - 1] * (1 - ratio(1 << (r - 1), 1 << i)) if r else 0)
+                        for r in range(i + 1)]
+            unsolved = sum(q * ratio((1 << i) - (1 << r), (1 << i) - 1)
+                           for r, q in enumerate(rank))
+            lost = i + p - m
+            terms.append(math.comb(k, i) * math.comb(p, p - m) * p_e**lost
+                         * (1 - p_e) ** (n - lost) * i * unsolved)
+    return sum(terms) / k
 
 
 def bernstein_radius(receivers: int, variance: float, delta: float) -> float:

@@ -4,7 +4,8 @@ from __future__ import annotations
 import math
 import sys
 import tracemalloc
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from erasurelab.analytics import (
     plr_mds,
     systematic_erasures_pmf,
 )
-from erasurelab.codec import build_codec
+from erasurelab.codec import ExplicitXorCodec, build_codec
 from erasurelab.fountain import FountainCode
 from erasurelab.polar import polar_for_parity
+from test_acceptance import fountain_ensemble_plr
 
 
 def brute_force_plr(n: int, k: int, p_e: float, codec) -> float:
@@ -136,6 +138,45 @@ def test_fountain_bound_vs_monte_carlo():
     measured = plr_empirical(codec, n, k, p_e, receivers=receivers, seed=19).plr
     sigma = math.sqrt(bound * (1 - bound) / (receivers * k))
     assert measured <= bound + 3 * sigma
+
+
+def all_codes_fountain_plr(n: int, k: int, p_e: Fraction) -> Fraction:
+    """The loss rate averaged over every erasure pattern and every choice of
+    the n - k k-bit columns, each pattern decoded by
+    ExplicitXorCodec.unrecovered_sources. A pattern reads only the columns of
+    the parity it receives, so for each received parity set the average runs
+    over every choice of those columns, with the others zero."""
+    p = n - k
+    lost: dict[tuple[int, int], int] = {}  # (erasures, received parity): summed over choices
+    for kept in range(1 << p):
+        js = gf2.ones(kept)
+        parity = [k + j for j in js]
+        for columns in product(range(1 << k), repeat=len(js)):
+            masks = [0] * p
+            for j, column in zip(js, columns):
+                masks[j - 1] = column
+            unrecovered = ExplicitXorCodec(k, masks).unrecovered_sources
+            for gone in range(1, 1 << k):
+                sources = [t for t in range(1, k + 1) if not gone >> (t - 1) & 1]
+                key = (gone.bit_count() + p - len(js), len(js))
+                lost[key] = lost.get(key, 0) + len(unrecovered(sources + parity))
+    return sum(Fraction(total, 1 << (k * m)) * p_e**e * (1 - p_e) ** (n - e)
+               for (e, m), total in lost.items()) / k
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 3)])
+def test_fountain_ensemble_equals_the_average_over_every_code(n, k):
+    p_e = Fraction(1, 10)
+    assert fountain_ensemble_plr(n, k, p_e) == all_codes_fountain_plr(n, k, p_e)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (8, 4), (16, 8), (16, 12), (32, 16),
+                                  (64, 40), (128, 64), (128, 120)])
+def test_fountain_bound_is_at_least_the_ensemble(n, k):
+    for p_e in (1e-3, 0.05, 0.3, 0.5, 0.9, 0.99):
+        # near p_e = 1 almost every term fails for certain in both, and the float sums
+        # round apart by an ulp
+        assert plr_fountain(n, k, p_e).plr >= fountain_ensemble_plr(n, k, p_e) * (1 - 1e-12)
 
 
 def test_empirical_matches_analytic_mds():
@@ -482,7 +523,16 @@ def test_collectable_packets_reference_point():
     (lambda: delay_budget(0.0, 0.0, 0, 0.0, 0.0, 0.0, repair_rounds=-1),
      "counts must be non-negative"),
     (lambda: collectable_packets(-0.1, 0.0012), "budget must be non-negative"),
-], ids=["rtt", "decode delay", "k", "repair rounds", "budget"])
+    # zero repair rounds times an infinite transmit delay would be NaN
+    (lambda: delay_budget(0.1, 0.1, 8, 0, 0, float("inf")), "delay components must be finite"),
+    (lambda: delay_budget(float("nan"), 0.1, 8, 0, 0, 0), "delay components must be finite"),
+    (lambda: delay_budget(0.1, 0.1, 8, float("-inf"), 0, 0), "delay components must be finite"),
+    (lambda: collectable_packets(float("inf"), 0.1), "budget and packet interval must be finite"),
+    (lambda: collectable_packets(1.0, float("nan")), "budget and packet interval must be finite"),
+    (lambda: collectable_packets(1.0, float("inf")), "budget and packet interval must be finite"),
+], ids=["rtt", "decode delay", "k", "repair rounds", "budget", "infinite transmit delay",
+        "NaN rtt", "minus infinite encode delay", "infinite budget", "NaN interval",
+        "infinite interval"])
 def test_delay_inputs_must_be_non_negative(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

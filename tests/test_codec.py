@@ -96,18 +96,25 @@ def test_decode_hands_solve_a_read_only_block(family, monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(CODECS))
 def test_encode_hands_parity_a_read_only_block_ending_in_zeros(family, monkeypatch):
+    want = CODECS[family]().encode(SOURCE, 4)
     codec = CODECS[family]()
-    want = codec.encode(SOURCE, 4)
-    parity = type(codec)._parity
-    blocks = []
+    build = type(codec)._parity_encoder
+    shapes, blocks = [], []
 
-    def spy(self, block, p, tables):
-        blocks.append((block.flags.writeable, block.dtype, block.shape, block.tobytes()))
-        return parity(self, block, p, tables)
+    def spy(self, p, size):
+        shapes.append((p, size))
+        encoder = build(self, p, size)
 
-    monkeypatch.setattr(type(codec), "_parity", spy)
-    assert codec.encode(SOURCE, 4) == want
-    assert blocks == [(False, np.uint8, (5, 2), b"".join(SOURCE) + bytes(2))]
+        def spied(block):
+            blocks.append((block.flags.writeable, block.dtype, block.shape, block.tobytes()))
+            return encoder(block)
+        return spied
+
+    monkeypatch.setattr(type(codec), "_parity_encoder", spy)
+    # twice: the second encode reuses the encoder the first one built
+    assert codec.encode(SOURCE, 4) == codec.encode(SOURCE, 4) == want
+    assert shapes == [(4, 2)]
+    assert blocks == [(False, np.uint8, (5, 2), b"".join(SOURCE) + bytes(2))] * 2
 
 
 @pytest.mark.parametrize("family", sorted(CODECS))

@@ -89,7 +89,7 @@ def test_combine_matches_reference_at_every_word_width(r, m, size):
     # r crosses each padding of combine's product words: 1, 2, 4, 8 and 16 bytes
     gen = np.random.default_rng(r * 10_000 + m * 100 + size)
     rows = gen.integers(0, 256, (m, size), dtype=np.uint8)
-    # coeffs as the transposed view MdsCode._parity_tables passes, with a zero column
+    # coeffs as the transposed view MdsCode._parity_encoder passes, with a zero column
     coeffs = gen.integers(0, 256, (m, r), dtype=np.uint8).T
     if m > 1:
         coeffs[:, 0] = 0
