@@ -8,6 +8,8 @@ The Monte-Carlo path simulates independent receivers against a real codec.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -19,6 +21,8 @@ from .codec import build_codec, check_block, check_code
 
 DEFAULT_RECEIVERS = 50_000
 PARITY_SCAN_CAP = 128  # min_parity gives up past this many parity packets
+# blocks the analytic rates take: C(n, n // 2) first passes the float range at n = 1030
+ANALYTIC_BLOCK_CAP = 1029
 _BATCH = 1 << 18
 _INTERVAL_RTOL = 1e-9  # relative rounding error that collectable_packets forgives
 
@@ -80,11 +84,19 @@ def systematic_erasures_pmf(e: int, i: int, n: int, k: int) -> float:
     return math.comb(k, i) * math.comb(n - k, e - i) / math.comb(n, e)
 
 
+def _check_analytic_block(n: int) -> None:
+    """Reject a block longer than ANALYTIC_BLOCK_CAP, the analytic rates' limit."""
+    if n > ANALYTIC_BLOCK_CAP:
+        raise ValueError(f"the analytic loss rate takes blocks of at most "
+                         f"{ANALYTIC_BLOCK_CAP} packets, got {n}")
+
+
 def _analytic_plr(n: int, k: int, p_e: float, failure_prob: Callable[[int], float]) -> float:
     """Shared mixture: erasure count e is binomial, failure_prob(e) is the
     chance decoding cannot repair, and the hypergeometric split
     C(k,i)*C(n-k,e-i)/C(n,e) says how many of the erasures, i, were
-    systematic."""
+    systematic. The float weights hold C(n, e) only while n is at most
+    ANALYTIC_BLOCK_CAP, which the callers check first."""
     cn = [math.comb(n, e) for e in range(n + 1)]
     ck = [math.comb(k, i) for i in range(k + 1)]
     cr = [math.comb(n - k, j) for j in range(n - k + 1)]
@@ -100,11 +112,13 @@ def _analytic_plr(n: int, k: int, p_e: float, failure_prob: Callable[[int], floa
 
 
 def plr_mds(n: int, k: int, p_e: float) -> PlrReport:
-    """Residual loss of an ideal MDS code of any length: decoding fails exactly
-    when more than n-k packets are erased, and then every lost systematic
-    packet stays lost. build_mds, which builds the GF(256) code, stops at n=256."""
+    """Residual loss of an ideal MDS code of up to ANALYTIC_BLOCK_CAP (1,029)
+    packets: decoding fails exactly when more than n-k packets are erased,
+    and then every lost systematic packet stays lost. build_mds, which builds
+    the GF(256) code, stops at n=256."""
     check_block(n, k)
     rng.check_probability(p_e)
+    _check_analytic_block(n)
     plr = _analytic_plr(n, k, p_e, lambda e: 1.0 if e > n - k else 0.0)
     return PlrReport(family="mds", n=n, k=k, p_e=p_e, plr=plr, method="analytic")
 
@@ -115,10 +129,12 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
     While the erasure count e fits the parity budget n-k, a random binary
     system with n-k-e spare equations fails with probability at most
     2**-(n-k-e); past the budget failure is certain. This makes the result an
-    upper bound on the true loss rate, which is what planning wants.
+    upper bound on the true loss rate, which is what planning wants. Like
+    plr_mds, it takes blocks of up to ANALYTIC_BLOCK_CAP (1,029) packets.
     """
     check_block(n, k)
     rng.check_probability(p_e)
+    _check_analytic_block(n)
     budget = n - k
 
     def failure(e: int) -> float:
@@ -135,9 +151,12 @@ ANALYTIC_PLR = {"mds": plr_mds, "fountain": plr_fountain}
 
 
 def _check_draw(receivers: int, workers: int) -> None:
-    """Reject a Monte-Carlo draw of no receivers or no workers."""
+    """Reject a Monte-Carlo draw of no receivers, of more receivers than the
+    receiver stream holds (2**64), or of no workers."""
     if receivers < 1:
         raise ValueError("need at least one receiver")
+    if receivers > 2**64:
+        raise ValueError(f"need at most 2**64 receivers, got {receivers}")
     if workers < 1:
         raise ValueError("need at least one worker")
 
@@ -166,11 +185,31 @@ def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
 
     workers = min(workers, -(-receivers // _BATCH))  # no more threads than batches
     bounds = [(receivers * w) // workers for w in range(workers + 1)]
-    ranges = [(bounds[w], bounds[w + 1] - bounds[w]) for w in range(workers)]
     if workers == 1:
         return run_range(0, receivers)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return [sum(col) for col in zip(*pool.map(lambda ab: run_range(*ab), ranges))]
+    # Where scheduler load balancing is off, a new thread stays on the CPU of
+    # the thread that started it, so unplaced workers share one CPU. Worker w
+    # runs on its own share of the caller's CPUs (shares overlap only when
+    # there are more workers than CPUs); a platform that cannot place a
+    # thread runs every worker where it already is.
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+    def placed_range(w: int) -> list[int]:
+        tid, before = threading.get_native_id(), None
+        if allowed:
+            try:
+                before = os.sched_getaffinity(tid)
+                os.sched_setaffinity(tid, allowed[w % len(allowed)::workers])
+            except OSError:  # placement refused: the worker runs where it is
+                before = None
+        try:
+            return run_range(bounds[w], bounds[w + 1] - bounds[w])
+        finally:
+            if before is not None:
+                os.sched_setaffinity(tid, before)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [sum(col) for col in zip(*pool.map(placed_range, range(workers)))]
 
 
 def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RECEIVERS,
@@ -195,12 +234,15 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
 def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, workers: int):
     """(p, loss rate, block length) for p = 1, 2, ... up to the family's
     limit. The ANALYTIC_PLR families give their analytic rate and no block
-    length, MDS while k+p fits the elements of GF(256); polar gives the
-    Monte-Carlo rate and the block it ran on while k+p fits rng.MAX_PACKETS,
-    from one codec and one _lost_totals pass per block length."""
+    length, fountain while k+p fits ANALYTIC_BLOCK_CAP and MDS while it fits
+    the elements of GF(256); polar gives the Monte-Carlo rate and the block
+    it ran on while k+p fits rng.MAX_PACKETS, from one codec and one
+    _lost_totals pass per block length."""
     analytic = ANALYTIC_PLR.get(family)
     if analytic:
-        top = min(PARITY_SCAN_CAP, gf256.FIELD_SIZE - k) if family == "mds" else PARITY_SCAN_CAP
+        _check_analytic_block(k)
+        block_cap = gf256.FIELD_SIZE if family == "mds" else ANALYTIC_BLOCK_CAP
+        top = min(PARITY_SCAN_CAP, block_cap - k)
         for p in range(1, top + 1):
             yield p, analytic(k + p, k, p_e).plr, None
         return
@@ -231,7 +273,8 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     length give the loss rate of every p in it, each bit-identical to
     plr_empirical on that p alone. Returns None when the target is
     unreachable within the family's limits or PARITY_SCAN_CAP parity packets,
-    and at once when every packet is lost (p_e = 1).
+    and at once when every packet is lost (p_e = 1). When MDS or fountain
+    needs parity, a k past ANALYTIC_BLOCK_CAP is a parameter error.
     """
     check_code(family, k, k)
     rng.check_probability(p_e)
@@ -261,6 +304,9 @@ def op_count(family: str, k: int, p: int, packet_size: int = 1500,
     selects half the sources, costing (k-1)/2 word xors per output word.
     """
     check_code(family, k + p, k)
+    # NaN passes the sign check below
+    if not (math.isfinite(packet_size) and math.isfinite(word_bytes)):
+        raise ValueError("packet size and word width must be finite")
     if packet_size < 1 or word_bytes < 1:
         raise ValueError("packet size and word width must be positive")
     if family == "mds":
@@ -288,6 +334,8 @@ def delay_budget(rtt: float, packet_interval: float, k: int, encode_delay: float
         raise ValueError("delay components must be finite")
     if min(delays) < 0:
         raise ValueError("delay components must be non-negative")
+    if not (math.isfinite(k) and math.isfinite(repair_rounds)):
+        raise ValueError("counts must be finite")
     if k < 0 or repair_rounds < 0:
         raise ValueError("counts must be non-negative")
     return (rtt / 2.0 + k * packet_interval + encode_delay + transmit_delay

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -353,6 +355,24 @@ def test_min_parity_past_the_mds_field_size_still_plans_no_parity():
     assert min_parity("mds", 256, 0.05, 0.01) is None
 
 
+def test_analytic_rates_below_their_block_cap_are_pinned():
+    # recorded before the cap: every rate at n <= 1,029 stays bit-identical
+    assert plr_mds(1029, 1000, 0.05).plr == 0.04999008794300262
+    assert plr_fountain(1029, 1000, 0.05).plr == 0.0499966403966747
+    plan = min_parity("fountain", 1000, 0.001, 1e-9)
+    assert (plan.p, plan.n, plan.plr) == (23, 1023, 6.621666126685932e-10)
+
+
+def test_min_parity_fountain_stops_at_the_analytic_block_cap():
+    # k=1000 leaves room for 29 parity packets, too few at p_e = 0.05
+    assert min_parity("fountain", 1000, 0.05, 1e-6) is None
+    assert min_parity("fountain", 1029, 0.05, 1e-6) is None
+    # a k past the cap needs no analytic rate when no parity is needed
+    for family in ("mds", "fountain"):
+        plan = min_parity(family, 1100, 0.01, 0.05)
+        assert (plan.p, plan.n, plan.method) == (0, 1100, "analytic")
+
+
 def test_min_parity_polar_stops_at_the_simulated_block_cap():
     # k=60 leaves room for 4 parity packets before k+p passes 64 packets
     assert min_parity("polar", 60, 0.3, 1e-7, receivers=500, seed=1) is None
@@ -439,29 +459,74 @@ def test_lost_totals_are_pinned_for_every_family():
                 (family, workers)
 
 
+class SerialPool:
+    """Stands in for ThreadPoolExecutor: runs every range on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
 def test_lost_totals_start_no_more_threads_than_batches(monkeypatch):
     # 300,000 receivers fill two batches, so a thousand workers get two threads
     started = []
 
-    class SerialPool:
+    class CountingPool(SerialPool):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
-
     codec = polar_for_parity(12, 4, 0.05)
     want = plr_empirical(codec, 16, 12, 0.05, receivers=300_000, seed=0, workers=1)
-    monkeypatch.setattr(analytics, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(analytics, "ThreadPoolExecutor", CountingPool)
     got = plr_empirical(codec, 16, 12, 0.05, receivers=300_000, seed=0, workers=1000)
     assert started and max(started) <= 2
     assert got.plr == want.plr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs thread placement and at least two CPUs")
+@pytest.mark.parametrize("serial", [False, True], ids=["threads", "serial pool"])
+def test_two_workers_run_on_their_own_cpus_and_give_them_back(monkeypatch, serial):
+    # 20,000 receivers fill five 4,096-receiver batches, so two workers get
+    # 10,000 each; the serial pool runs both ranges on the calling thread,
+    # which must get its own CPUs back after each range
+    monkeypatch.setattr(analytics, "_BATCH", 4096)
+    codec = polar_for_parity(12, 4, 0.05)
+    want = plr_empirical(codec, 16, 12, 0.05, receivers=20_000, seed=4, workers=1)
+    caller = os.sched_getaffinity(0)
+    seen = {}
+    real = rng.erasure_masks
+
+    def spy(seed, first, *rest):
+        worker = int(first >= 10_000)
+        seen.setdefault(worker, set()).add(
+            (threading.get_native_id(), frozenset(os.sched_getaffinity(0))))
+        return real(seed, first, *rest)
+
+    monkeypatch.setattr(rng, "erasure_masks", spy)
+    if serial:
+        monkeypatch.setattr(analytics, "ThreadPoolExecutor", SerialPool)
+    got = plr_empirical(codec, 16, 12, 0.05, receivers=20_000, seed=4, workers=2)
+    assert os.sched_getaffinity(0) == caller
+    assert got.plr == want.plr
+    assert sorted(seen) == [0, 1] and all(len(runs) == 1 for runs in seen.values()), seen
+    (tid0, cpus0), = seen[0]
+    (tid1, cpus1), = seen[1]
+    main = threading.get_native_id()
+    if serial:
+        assert tid0 == tid1 == main
+    else:
+        assert len({tid0, tid1, main}) == 3
+    assert cpus0 and cpus1 and not cpus0 & cpus1
+    assert cpus0 | cpus1 <= caller
 
 
 def test_empirical_at_channel_extremes():
@@ -530,9 +595,12 @@ def test_collectable_packets_reference_point():
     (lambda: collectable_packets(float("inf"), 0.1), "budget and packet interval must be finite"),
     (lambda: collectable_packets(1.0, float("nan")), "budget and packet interval must be finite"),
     (lambda: collectable_packets(1.0, float("inf")), "budget and packet interval must be finite"),
+    (lambda: delay_budget(0.1, 0.1, float("nan"), 0, 0, 0), "counts must be finite"),
+    (lambda: delay_budget(0.1, 0.1, 8, 0, 0, 0, repair_rounds=float("inf")),
+     "counts must be finite"),
 ], ids=["rtt", "decode delay", "k", "repair rounds", "budget", "infinite transmit delay",
         "NaN rtt", "minus infinite encode delay", "infinite budget", "NaN interval",
-        "infinite interval"])
+        "infinite interval", "NaN k", "infinite repair rounds"])
 def test_delay_inputs_must_be_non_negative(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -204,6 +204,30 @@ def test_rejected_inputs_announce_no_drawn_seed(args):
     assert "seed:" not in result.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (("plr", "--family", "polar", "--n", 16, "--k", 12, "--pe", 0.05, "--method", "mc",
+      "--receivers", 2**64 + 1), "need at most 2**64 receivers, got 18446744073709551617"),
+    (("plan", "--family", "polar", "--k", 12, "--pe", 0.05, "--plr-target", 1e-3,
+      "--receivers", 2**64 + 1), "need at most 2**64 receivers, got 18446744073709551617"),
+    (("plr", "--family", "mds", "--n", 1100, "--k", 1000, "--pe", 0.05),
+     "the analytic loss rate takes blocks of at most 1029 packets, got 1100"),
+    (("plan", "--family", "fountain", "--k", 1100, "--pe", 0.05, "--plr-target", 1e-6),
+     "the analytic loss rate takes blocks of at most 1029 packets, got 1100"),
+], ids=["plr receivers", "plan receivers", "plr analytic block", "plan analytic block"])
+def test_inputs_past_a_library_cap_exit_2_at_once(args, message):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.output.endswith(f"Error: {message}\n")
+    assert "seed:" not in result.output
+
+
+def test_plan_fountain_past_the_analytic_block_cap_exits_3():
+    result = run("plan", "--family", "fountain", "--k", 1000, "--pe", 0.05,
+                 "--plr-target", 1e-6)
+    assert result.exit_code == 3
+    assert "unreachable" in result.output
+
+
 def test_plr_mc_deterministic_across_runs_and_workers(monkeypatch):
     # five batches, so five workers run five threads
     monkeypatch.setattr(analytics, "_BATCH", 4096)
