@@ -11,6 +11,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,25 +189,22 @@ def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
     if workers == 1:
         return run_range(0, receivers)
     # Where scheduler load balancing is off, a new thread stays on the CPU of
-    # the thread that started it, so unplaced workers share one CPU. Worker w
-    # runs on its own share of the caller's CPUs (shares overlap only when
-    # there are more workers than CPUs); a platform that cannot place a
-    # thread runs every worker where it already is.
+    # the thread that started it, so unplaced workers share one CPU. While the
+    # caller may use at least as many CPUs as there are workers, worker w moves
+    # to its own share of them and then gives the scheduler all of them back:
+    # without load balancing the thread stays where it moved, with it the
+    # scheduler may still move it off a busy CPU. A platform that cannot
+    # place a thread runs every worker where it starts.
     allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    place = len(allowed) >= workers
 
     def placed_range(w: int) -> list[int]:
-        tid, before = threading.get_native_id(), None
-        if allowed:
-            try:
-                before = os.sched_getaffinity(tid)
-                os.sched_setaffinity(tid, allowed[w % len(allowed)::workers])
-            except OSError:  # placement refused: the worker runs where it is
-                before = None
-        try:
-            return run_range(bounds[w], bounds[w + 1] - bounds[w])
-        finally:
-            if before is not None:
-                os.sched_setaffinity(tid, before)
+        if place:
+            tid = threading.get_native_id()
+            with suppress(OSError):  # placement refused: the worker runs where it is
+                os.sched_setaffinity(tid, allowed[w::workers])
+                os.sched_setaffinity(tid, allowed)
+        return run_range(bounds[w], bounds[w + 1] - bounds[w])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return [sum(col) for col in zip(*pool.map(placed_range, range(workers)))]
@@ -240,9 +238,11 @@ def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, wor
     _lost_totals pass per block length."""
     analytic = ANALYTIC_PLR.get(family)
     if analytic:
-        _check_analytic_block(k)
-        block_cap = gf256.FIELD_SIZE if family == "mds" else ANALYTIC_BLOCK_CAP
-        top = min(PARITY_SCAN_CAP, block_cap - k)
+        if family == "mds":
+            top = min(PARITY_SCAN_CAP, gf256.FIELD_SIZE - k)
+        else:
+            _check_analytic_block(k)
+            top = min(PARITY_SCAN_CAP, ANALYTIC_BLOCK_CAP - k)
         for p in range(1, top + 1):
             yield p, analytic(k + p, k, p_e).plr, None
         return
@@ -273,8 +273,8 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     length give the loss rate of every p in it, each bit-identical to
     plr_empirical on that p alone. Returns None when the target is
     unreachable within the family's limits or PARITY_SCAN_CAP parity packets,
-    and at once when every packet is lost (p_e = 1). When MDS or fountain
-    needs parity, a k past ANALYTIC_BLOCK_CAP is a parameter error.
+    and at once when every packet is lost (p_e = 1). When fountain needs
+    parity, a k past ANALYTIC_BLOCK_CAP is a parameter error.
     """
     check_code(family, k, k)
     rng.check_probability(p_e)

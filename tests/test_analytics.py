@@ -353,6 +353,8 @@ def test_min_parity_past_the_mds_field_size_still_plans_no_parity():
         assert (plan.p, plan.n, plan.plr, plan.method) == (0, 300, 0.01, "analytic")
     assert min_parity("mds", 300, 0.05, 0.01) is None
     assert min_parity("mds", 256, 0.05, 0.01) is None
+    # the MDS scan stops at the field size, far below the analytic block cap
+    assert min_parity("mds", 1100, 0.05, 1e-6) is None
 
 
 def test_analytic_rates_below_their_block_cap_are_pinned():
@@ -491,42 +493,88 @@ def test_lost_totals_start_no_more_threads_than_batches(monkeypatch):
     assert got.plr == want.plr
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs thread placement and at least two CPUs")
+PLACEMENT = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs thread placement and at least two CPUs")
+
+
+@PLACEMENT
 @pytest.mark.parametrize("serial", [False, True], ids=["threads", "serial pool"])
-def test_two_workers_run_on_their_own_cpus_and_give_them_back(monkeypatch, serial):
-    # 20,000 receivers fill five 4,096-receiver batches, so two workers get
-    # 10,000 each; the serial pool runs both ranges on the calling thread,
-    # which must get its own CPUs back after each range
+def test_two_workers_move_to_their_own_cpus_and_give_them_back(monkeypatch, serial):
+    # two workers get 10,000 receivers each, three 4,096-receiver batches
+    # apiece; each worker thread moves to its own share of the caller's
+    # CPUs and gives them all back before its first batch. The serial pool
+    # runs both ranges on the calling thread, which must keep its own CPUs
     monkeypatch.setattr(analytics, "_BATCH", 4096)
     codec = polar_for_parity(12, 4, 0.05)
     want = plr_empirical(codec, 16, 12, 0.05, receivers=20_000, seed=4, workers=1)
     caller = os.sched_getaffinity(0)
-    seen = {}
-    real = rng.erasure_masks
+    moves, batches = {}, []
+    real_move, real_draw = os.sched_setaffinity, rng.erasure_masks
 
-    def spy(seed, first, *rest):
-        worker = int(first >= 10_000)
-        seen.setdefault(worker, set()).add(
-            (threading.get_native_id(), frozenset(os.sched_getaffinity(0))))
-        return real(seed, first, *rest)
+    def move(tid, cpus):
+        moves.setdefault(tid, []).append(set(cpus))
+        real_move(tid, cpus)
 
-    monkeypatch.setattr(rng, "erasure_masks", spy)
+    def draw(*args):
+        batches.append((threading.get_native_id(), os.sched_getaffinity(0)))
+        return real_draw(*args)
+
+    monkeypatch.setattr(os, "sched_setaffinity", move)
+    monkeypatch.setattr(rng, "erasure_masks", draw)
     if serial:
         monkeypatch.setattr(analytics, "ThreadPoolExecutor", SerialPool)
     got = plr_empirical(codec, 16, 12, 0.05, receivers=20_000, seed=4, workers=2)
-    assert os.sched_getaffinity(0) == caller
     assert got.plr == want.plr
-    assert sorted(seen) == [0, 1] and all(len(runs) == 1 for runs in seen.values()), seen
-    (tid0, cpus0), = seen[0]
-    (tid1, cpus1), = seen[1]
+    assert os.sched_getaffinity(0) == caller
+    # the pool may hand both ranges to one thread: on each thread every move
+    # to a share is followed by the give-back, and each share is taken once
+    for cpus in moves.values():
+        assert len(cpus) % 2 == 0 and cpus[1::2] == [caller] * (len(cpus) // 2), moves
+    taken = sorted(sorted(share) for cpus in moves.values() for share in cpus[0::2])
+    assert taken == sorted(sorted(caller)[w::2] for w in range(2))
+    assert len(batches) == 6 and all(cpus == caller for _, cpus in batches)
+    assert {tid for tid, _ in batches} <= set(moves)
     main = threading.get_native_id()
-    if serial:
-        assert tid0 == tid1 == main
-    else:
-        assert len({tid0, tid1, main}) == 3
-    assert cpus0 and cpus1 and not cpus0 & cpus1
-    assert cpus0 | cpus1 <= caller
+    assert set(moves) == {main} if serial else main not in moves
+
+
+@PLACEMENT
+def test_more_workers_than_cpus_are_left_to_the_scheduler(monkeypatch):
+    # one worker more than the caller's CPUs: the shares would overlap, so
+    # no worker moves
+    monkeypatch.setattr(analytics, "_BATCH", 4096)
+    workers = len(os.sched_getaffinity(0)) + 1
+    codec = polar_for_parity(12, 4, 0.05)
+    want = plr_empirical(codec, 16, 12, 0.05, receivers=4096 * workers, seed=4, workers=1)
+    moved = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda *args: moved.append(args))
+    got = plr_empirical(codec, 16, 12, 0.05, receivers=4096 * workers, seed=4,
+                        workers=workers)
+    assert moved == []
+    assert got.plr == want.plr
+
+
+@PLACEMENT
+@pytest.mark.parametrize("refuse", ["move", "give back"])
+def test_a_refused_placement_keeps_the_totals(monkeypatch, refuse):
+    # the kernel refuses the move to a share or the give-back, as when the
+    # cpuset shrinks during the call; the worker runs where it is
+    monkeypatch.setattr(analytics, "_BATCH", 4096)
+    codec = polar_for_parity(12, 4, 0.05)
+    want = plr_empirical(codec, 16, 12, 0.05, receivers=20_000, seed=4, workers=2)
+    caller, real, refused = os.sched_getaffinity(0), os.sched_setaffinity, []
+
+    def move(tid, cpus):
+        if (set(cpus) == caller) == (refuse == "give back"):
+            refused.append(tid)
+            raise OSError("cpuset changed")
+        real(tid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", move)
+    got = plr_empirical(codec, 16, 12, 0.05, receivers=20_000, seed=4, workers=2)
+    assert len(refused) == 2 and got.plr == want.plr
+    assert os.sched_getaffinity(0) == caller
 
 
 def test_empirical_at_channel_extremes():

@@ -72,8 +72,6 @@ CONTRACTS = [
      lambda: analytics.min_parity("polar", 4, 0.05, 1e-3, receivers=2**64 + 1), STREAM),
     ("min_parity fountain analytic block",
      lambda: analytics.min_parity("fountain", 1100, 0.05, 1e-6), ANALYTIC_BLOCK.format(1100)),
-    ("min_parity mds analytic block",
-     lambda: analytics.min_parity("mds", 1100, 0.05, 1e-6), ANALYTIC_BLOCK.format(1100)),
     ("min_parity workers",
      lambda: analytics.min_parity("polar", 4, 0.05, 1e-3, workers=0), WORKER),
     ("op_count family", lambda: analytics.op_count("ldpc", 4, 2), FAMILY),
