@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import gf256, rng
-from .codec import build_codec, check_block, check_code
+from .codec import build_codec, check_block, check_code, check_finite
 
 DEFAULT_RECEIVERS = 50_000
 PARITY_SCAN_CAP = 128  # min_parity gives up past this many parity packets
@@ -77,7 +77,8 @@ def systematic_erasures_pmf(e: int, i: int, n: int, k: int) -> float:
     Hypergeometric split C(k,i)*C(n-k,e-i)/C(n,e); arguments outside the
     support are a caller error rather than silently zero.
     """
-    check_block(n, k)
+    n, k = check_block(n, k)
+    e, i = check_finite("e and i", e, i)
     if not 0 <= e <= n:
         raise ValueError(f"erasure count {e} out of range")
     if not 0 <= i <= min(e, k) or e - i > n - k:
@@ -92,24 +93,28 @@ def _check_analytic_block(n: int) -> None:
                          f"{ANALYTIC_BLOCK_CAP} packets, got {n}")
 
 
-def _analytic_plr(n: int, k: int, p_e: float, failure_prob: Callable[[int], float]) -> float:
-    """Shared mixture: erasure count e is binomial, failure_prob(e) is the
-    chance decoding cannot repair, and the hypergeometric split
-    C(k,i)*C(n-k,e-i)/C(n,e) says how many of the erasures, i, were
+def _analytic_plr(family: str, n: int, k: int, p_e: float,
+                  failure: Callable[[int], float]) -> PlrReport:
+    """The closed-form rates' one front. Erasure count e is binomial,
+    failure(e) is the chance decoding cannot repair, and the hypergeometric
+    split C(k,i)*C(n-k,e-i)/C(n,e) says how many of the erasures, i, were
     systematic. The float weights hold C(n, e) only while n is at most
-    ANALYTIC_BLOCK_CAP, which the callers check first."""
+    ANALYTIC_BLOCK_CAP, which is checked first."""
+    n, k = check_block(n, k)
+    rng.check_probability(p_e)
+    _check_analytic_block(n)
     cn = [math.comb(n, e) for e in range(n + 1)]
     ck = [math.comb(k, i) for i in range(k + 1)]
     cr = [math.comb(n - k, j) for j in range(n - k + 1)]
     terms = []
     for e in range(1, n + 1):
-        fail = failure_prob(e)
+        fail = failure(e)
         if fail == 0.0:
             continue
         pmf = cn[e] * p_e**e * (1.0 - p_e) ** (n - e)
         for i in range(max(1, e - (n - k)), min(e, k) + 1):
             terms.append(i * fail * pmf * (ck[i] * cr[e - i] / cn[e]))
-    return math.fsum(terms) / k
+    return PlrReport(family=family, n=n, k=k, p_e=p_e, plr=math.fsum(terms) / k, method="analytic")
 
 
 def plr_mds(n: int, k: int, p_e: float) -> PlrReport:
@@ -117,11 +122,7 @@ def plr_mds(n: int, k: int, p_e: float) -> PlrReport:
     packets: decoding fails exactly when more than n-k packets are erased,
     and then every lost systematic packet stays lost. build_mds, which builds
     the GF(256) code, stops at n=256."""
-    check_block(n, k)
-    rng.check_probability(p_e)
-    _check_analytic_block(n)
-    plr = _analytic_plr(n, k, p_e, lambda e: 1.0 if e > n - k else 0.0)
-    return PlrReport(family="mds", n=n, k=k, p_e=p_e, plr=plr, method="analytic")
+    return _analytic_plr("mds", n, k, p_e, lambda e: 1.0 if e > n - k else 0.0)
 
 
 def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
@@ -133,18 +134,8 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
     upper bound on the true loss rate, which is what planning wants. Like
     plr_mds, it takes blocks of up to ANALYTIC_BLOCK_CAP (1,029) packets.
     """
-    check_block(n, k)
-    rng.check_probability(p_e)
-    _check_analytic_block(n)
-    budget = n - k
-
-    def failure(e: int) -> float:
-        if e > budget:
-            return 1.0
-        return 2.0 ** -(budget - e)
-
-    plr = _analytic_plr(n, k, p_e, failure)
-    return PlrReport(family="fountain", n=n, k=k, p_e=p_e, plr=plr, method="analytic")
+    return _analytic_plr("fountain", n, k, p_e,
+                         lambda e: 1.0 if e > n - k else 2.0 ** (e - (n - k)))
 
 
 # the families with a closed-form loss rate, each with its function; polar has none
@@ -215,13 +206,12 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     """Monte-Carlo loss rate over independent simulated receivers, each
     drawing its erasures from a stream keyed by (seed, receiver): the result
     is bit-identical for any worker count."""
-    check_block(n, k)
+    n, k = check_block(n, k)
     rng.check_probability(p_e)
     if codec.k != k:
         raise ValueError(f"codec has k={codec.k}, expected {k}")
-    limit = codec.parity_limit
-    if n - k > limit:
-        raise ValueError(f"codec provides {limit} parity packets, n={n} needs {n - k}")
+    if n - k > codec.parity_limit:
+        raise ValueError(f"codec provides {codec.parity_limit} parity packets, n={n} needs {n - k}")
     if codec.family is None:  # checked before the draw
         raise ValueError(f"{type(codec).__name__} belongs to no family")
     lost = _lost_totals(codec, n, p_e, receivers, seed, workers)[-1]
@@ -230,20 +220,19 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
 
 
 def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, workers: int):
-    """(p, loss rate, block length) for p = 1, 2, ... up to the family's
-    limit. The ANALYTIC_PLR families give their analytic rate and no block
-    length, fountain while k+p fits ANALYTIC_BLOCK_CAP and MDS while it fits
-    the elements of GF(256); polar gives the Monte-Carlo rate and the block
-    it ran on while k+p fits rng.MAX_PACKETS, from one codec and one
-    _lost_totals pass per block length."""
+    """(p, loss rate, block length) for p = 0, 1, 2, ... up to the family's
+    limit. With no parity every family loses p_e; past it the ANALYTIC_PLR
+    families give their analytic rate and no block length, fountain while k+p
+    fits ANALYTIC_BLOCK_CAP and MDS while it fits the elements of GF(256); polar
+    gives the Monte-Carlo rate and the block it ran on while k+p fits
+    rng.MAX_PACKETS, from one codec and one _lost_totals pass per block length."""
+    yield 0, p_e, None
     analytic = ANALYTIC_PLR.get(family)
     if analytic:
-        if family == "mds":
-            top = min(PARITY_SCAN_CAP, gf256.FIELD_SIZE - k)
-        else:
+        if family == "fountain":
             _check_analytic_block(k)
-            top = min(PARITY_SCAN_CAP, ANALYTIC_BLOCK_CAP - k)
-        for p in range(1, top + 1):
+        top = gf256.FIELD_SIZE if family == "mds" else ANALYTIC_BLOCK_CAP
+        for p in range(1, min(PARITY_SCAN_CAP, top - k) + 1):
             yield p, analytic(k + p, k, p_e).plr, None
         return
     p = 1
@@ -262,19 +251,19 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
                workers: int = 1) -> ParityPlan | None:
     """Smallest parity count whose predicted loss rate meets the target.
 
-    With no parity the loss rate is p_e; past that, one scan of _parity_scan.
-    MDS and fountain use their analytic expressions; polar has no closed form
-    and is measured empirically (method "mc"), on at most rng.MAX_PACKETS
-    packets per block. Residual loss shrinks as parity grows, so a linear
-    scan from zero finds the minimum. Polar parity columns go out in a fixed
-    order and a receiver's erasure mask of fewer packets is a prefix of its
-    mask of more, so for one block length the code at parity p is a prefix of
-    the code at any larger p: one codec and one Monte-Carlo pass per block
-    length give the loss rate of every p in it, each bit-identical to
-    plr_empirical on that p alone. Returns None when the target is
-    unreachable within the family's limits or PARITY_SCAN_CAP parity packets,
-    and at once when every packet is lost (p_e = 1). When fountain needs
-    parity, a k past ANALYTIC_BLOCK_CAP is a parameter error.
+    One scan of _parity_scan from p = 0, where every family loses p_e: residual
+    loss shrinks as parity grows, so the first p that meets the target is the
+    minimum. MDS and fountain use their analytic expressions; polar has no
+    closed form and is measured empirically (method "mc"), on at most
+    rng.MAX_PACKETS packets per block. Polar parity columns go out in a fixed
+    order and a receiver's erasure mask of fewer packets is a prefix of its mask
+    of more, so for one block length the code at parity p is a prefix of the
+    code at any larger p: one codec and one Monte-Carlo pass per block length
+    give the loss rate of every p in it, each bit-identical to plr_empirical on
+    that p alone. Returns None when the target is unreachable within the
+    family's limits or PARITY_SCAN_CAP parity packets, and at once when every
+    packet is lost (p_e = 1). When fountain needs parity, a k past
+    ANALYTIC_BLOCK_CAP is a parameter error.
     """
     check_code(family, k, k)
     rng.check_probability(p_e)
@@ -283,8 +272,6 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     _check_draw(receivers, workers)
     if p_e == 1.0:
         return None
-    if p_e <= plr_target:
-        return ParityPlan(family=family, k=k, p=0, n=k, plr=p_e, method="analytic")
     for p, plr, block in _parity_scan(family, k, p_e, receivers, seed, workers):
         if plr <= plr_target:
             mc = block is not None
@@ -303,10 +290,9 @@ def op_count(family: str, k: int, p: int, packet_size: int = 1500,
     byte per column. Binary codes xor on machine words: an average column
     selects half the sources, costing (k-1)/2 word xors per output word.
     """
+    k, p = check_finite("k and p", k, p)  # before k + p, which may overflow
     check_code(family, k + p, k)
-    # NaN passes the sign check below
-    if not (math.isfinite(packet_size) and math.isfinite(word_bytes)):
-        raise ValueError("packet size and word width must be finite")
+    packet_size, word_bytes = check_finite("packet size and word width", packet_size, word_bytes)
     if packet_size < 1 or word_bytes < 1:
         raise ValueError("packet size and word width must be positive")
     if family == "mds":
@@ -329,13 +315,11 @@ def delay_budget(rtt: float, packet_interval: float, k: int, encode_delay: float
     then each repair round costs a full round trip plus transmissions both
     ways, and decoding closes the budget.
     """
-    delays = (rtt, packet_interval, encode_delay, decode_delay, transmit_delay)
-    if not all(map(math.isfinite, delays)):  # NaN passes the sign check below
-        raise ValueError("delay components must be finite")
-    if min(delays) < 0:
+    rtt, packet_interval, encode_delay, decode_delay, transmit_delay = check_finite(
+        "delay components", rtt, packet_interval, encode_delay, decode_delay, transmit_delay)
+    if min(rtt, packet_interval, encode_delay, decode_delay, transmit_delay) < 0:
         raise ValueError("delay components must be non-negative")
-    if not (math.isfinite(k) and math.isfinite(repair_rounds)):
-        raise ValueError("counts must be finite")
+    k, repair_rounds = check_finite("counts", k, repair_rounds)
     if k < 0 or repair_rounds < 0:
         raise ValueError("counts must be non-negative")
     return (rtt / 2.0 + k * packet_interval + encode_delay + transmit_delay
@@ -345,11 +329,12 @@ def delay_budget(rtt: float, packet_interval: float, k: int, encode_delay: float
 def collectable_packets(budget: float, packet_interval: float) -> int:
     """How many packets arrive within a delay budget, counting the packet at
     time zero plus one per full interval."""
-    if not (math.isfinite(budget) and math.isfinite(packet_interval)):
-        raise ValueError("budget and packet interval must be finite")
+    budget, packet_interval = check_finite("budget and packet interval", budget, packet_interval)
     if packet_interval <= 0:
         raise ValueError("packet interval must be positive")
     if budget < 0:
         raise ValueError("budget must be non-negative")
     # 0.3 / 0.1 is 2.9999999999999996: a whole interval short by a rounding error
-    return math.floor(budget / packet_interval * (1 + _INTERVAL_RTOL)) + 1
+    intervals = budget / packet_interval * (1 + _INTERVAL_RTOL)
+    check_finite("budget / packet interval", intervals)
+    return math.floor(intervals) + 1

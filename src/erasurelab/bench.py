@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import rng
 from .analytics import OpCount, op_count
-from .codec import build_codec, check_code
+from .codec import build_codec
 
 MIN_ITERATIONS = 100
 DEFAULT_WARMUP = 10
@@ -76,16 +76,15 @@ def bench_codec(family: str, k: int, p: int, *, packet_size: int = 1500,
     The decode side is the worst case for a systematic code: erasure_count
     losses (default min(p, k)), all of them source packets, repaired from parity.
     """
-    check_code(family, k + p, k)
+    model = op_count(family, k, p, packet_size=packet_size)  # checks the code and size first
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"need at least {MIN_ITERATIONS} iterations")
     if erasure_count is None:
         erasure_count = min(p, k)
     if not 0 <= erasure_count <= min(p, k):
         raise ValueError(f"erasure count {erasure_count} out of range")
-    model = op_count(family, k, p, packet_size=packet_size)  # checks the size before any work
 
-    codec = build_codec(family, k + p, k, seed=seed)
+    codec = build_codec(family, model.k + model.p, model.k, seed=seed)  # checked Python ints
 
     gen = random.Random(rng.substream(seed, rng.STREAM_BENCH))
     source = [gen.randbytes(packet_size) for _ in range(k)]

@@ -7,6 +7,7 @@ All families present the same systematic wire format. Packet indices are
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -52,11 +53,9 @@ class ErasureCodec:
     family: str | None = None
 
     def __init__(self, n: int, k: int):
-        check_block(n, k)
-        self.n = n
-        self.k = k
-        self.parity_limit = n - k
-        self._sources = frozenset(range(1, k + 1))
+        self.n, self.k = check_block(n, k)
+        self.parity_limit = self.n - self.k
+        self._sources = frozenset(range(1, self.k + 1))
         self._encoder: tuple = (None, None, None)  # (p, size, _parity_encoder) of the last encode
 
     def _check_parity_index(self, j: int) -> None:
@@ -187,7 +186,7 @@ class ExplicitXorCodec(ErasureCodec):
 
     def __init__(self, k: int, masks: Sequence[int]):
         super().__init__(k + len(masks), k)
-        self.masks = tuple(m & ((1 << k) - 1) for m in masks)
+        self.masks = tuple(m & ((1 << self.k) - 1) for m in masks)
 
     def parity_mask(self, j: int) -> int:
         self._check_parity_index(j)
@@ -263,17 +262,31 @@ def _block(rows: list, size: int) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), size)
 
 
-def check_block(n: int, k: int) -> None:
-    """Reject a block of n packets that cannot hold k sources, k outside 1..n."""
+def check_finite(what: str, *values) -> tuple:
+    """The one finite-number rule: reject a NaN, an infinity or an int past the
+    float range; return the values with numpy numbers made Python ones."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # what math.isfinite raises on an int past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be finite")
+    return tuple(v.item() if isinstance(v, np.generic) else v for v in values)
+
+
+def check_block(n: int, k: int) -> tuple[int, int]:
+    """Reject a non-finite n or k or a k outside 1..n; return them as check_finite does."""
+    n, k = check_finite("n and k", n, k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return n, k
 
 
-def check_code(family: str, n: int, k: int) -> None:
+def check_code(family: str, n: int, k: int) -> tuple[int, int]:
     """Reject a family outside FAMILIES, then a bad block: build_codec's checks."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    check_block(n, k)
+    return check_block(n, k)
 
 
 def build_codec(family: str, n: int, k: int, *, seed: int | None = None,
@@ -282,7 +295,7 @@ def build_codec(family: str, n: int, k: int, *, seed: int | None = None,
     the one place that maps a family name to its constructor. Fountain
     columns come from `seed`, the polar construction from `epsilon`; the
     other families ignore them."""
-    check_code(family, n, k)
+    n, k = check_code(family, n, k)
     if family == "mds":
         from .gf256 import build_mds
 

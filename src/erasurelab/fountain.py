@@ -16,7 +16,7 @@ class FountainCode(ExplicitXorCodec):
     family = "fountain"
 
     def __init__(self, k: int, seed: int, n: int):
-        check_block(n, k)
+        n, k = check_block(n, k)
         stream = rng.substream(seed, rng.STREAM_FOUNTAIN)
         super().__init__(k, [rng.bits(rng.word(stream, j), k) for j in range(1, n - k + 1)])
         self.seed = seed

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import gf2
-from .codec import ExplicitXorCodec, check_block
+from .codec import ExplicitXorCodec, check_block, check_finite
 
 BLOCK_CAP = 1 << 16  # polar_for_parity takes at most this many packets, k + p
 
@@ -117,10 +117,9 @@ def polar_for_parity(k: int, p: int, epsilon: float) -> PolarCodec:
     reservoir columns beyond p exist at no cost and stay available for
     incremental repair.
     """
+    k, p = check_finite("k and p", k, p)  # before k + p, which may overflow
     check_block(k + p, k)
     if k + p > BLOCK_CAP:
         raise ValueError(f"k+p={k + p} exceeds the block cap {BLOCK_CAP}")
-    levels = 1
-    while (1 << levels) < k + p or (1 << levels) <= k:
-        levels += 1
+    levels = int(max(k + p - 1, k)).bit_length()  # the smallest 2**levels > k that holds k + p
     return PolarCodec(levels, k, epsilon)

@@ -13,6 +13,8 @@ folds its loss bits into byte accumulators, and no piece size changes a bit.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -48,7 +50,7 @@ def substream(seed: int, stream_id: int) -> int:
     """Base of an independent stream derived from a user seed in [0, 2**64)."""
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return word(seed, stream_id)
+    return word(operator.index(seed), stream_id)  # a numpy int would overflow the wrap
 
 
 def bits(base: int, count: int) -> int:
@@ -95,6 +97,7 @@ def erasure_masks(seed: int, first: int, count: int, packets: int, p_e: float) -
     Every word is still mix64 of its own counter, so the split changes no bit.
     """
     check_probability(p_e)
+    first, count = operator.index(first), operator.index(count)  # numpy ints overflow below
     if first < 0 or count < 0 or first + count > 2**64:
         raise ValueError(f"receivers must lie in [0, 2**64), got first={first}, count={count}")
     check_packets(packets)

@@ -213,7 +213,10 @@ def test_rejected_inputs_announce_no_drawn_seed(args):
      "the analytic loss rate takes blocks of at most 1029 packets, got 1100"),
     (("plan", "--family", "fountain", "--k", 1100, "--pe", 0.05, "--plr-target", 1e-6),
      "the analytic loss rate takes blocks of at most 1029 packets, got 1100"),
-], ids=["plr receivers", "plan receivers", "plr analytic block", "plan analytic block"])
+    (("bench", "--family", "mds", "--k", 4, "--parity", 2, "--size", "1" + "0" * 400),
+     "packet size and word width must be finite"),
+], ids=["plr receivers", "plan receivers", "plr analytic block", "plan analytic block",
+        "bench size past the float range"])
 def test_inputs_past_a_library_cap_exit_2_at_once(args, message):
     result = run(*args)
     assert result.exit_code == 2

@@ -1,11 +1,18 @@
 """Every public entry point rejects a bad block, family, erasure probability,
-draw size, analytic block or model size with its rule's one message,
-whatever the family."""
+draw size, analytic block, model size or non-finite number with its rule's
+one message, whatever the family, and no numeric edge gets past its checks."""
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import math
+import time
 
-from erasurelab import analytics, cli, multicast, rng
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from erasurelab import analytics, bench, cli, multicast, polar, rng
 from erasurelab.codec import ErasureCodec, ExplicitXorCodec, build_codec, check_block, check_code
 from erasurelab.fountain import FountainCode
 from erasurelab.gf256 import build_mds
@@ -18,6 +25,8 @@ RECEIVER = "need at least one receiver"
 STREAM = "need at most 2**64 receivers, got 18446744073709551617"
 ANALYTIC_BLOCK = "the analytic loss rate takes blocks of at most 1029 packets, got {}"
 MODEL_SIZE = "packet size and word width must be finite"
+BLOCK_FINITE = "n and k must be finite"
+PARITY_FINITE = "k and p must be finite"
 WORKER = "need at least one worker"
 
 
@@ -84,6 +93,29 @@ CONTRACTS = [
      lambda: analytics.op_count("polar", 8, 4, float("inf")), MODEL_SIZE),
     ("op_count infinite word width",
      lambda: analytics.op_count("fountain", 8, 4, word_bytes=float("inf")), MODEL_SIZE),
+    ("op_count packet size past the float range",
+     lambda: analytics.op_count("mds", 8, 4, packet_size=10**400), MODEL_SIZE),
+    ("op_count infinite k", lambda: analytics.op_count("mds", float("inf"), 4), PARITY_FINITE),
+    ("op_count k past the float range",
+     lambda: analytics.op_count("mds", 10**400, 4), PARITY_FINITE),
+    ("op_count NaN k, p past the float range",
+     lambda: analytics.op_count("polar", math.nan, 10**400), PARITY_FINITE),
+    ("polar_for_parity NaN k, p past the float range",
+     lambda: polar_for_parity(math.nan, 10**400, 0.05), PARITY_FINITE),
+    ("check_block NaN n", lambda: check_block(float("nan"), 4), BLOCK_FINITE),
+    ("plr_mds infinite n", lambda: analytics.plr_mds(float("inf"), 4, 0.05), BLOCK_FINITE),
+    ("build_codec k past the float range",
+     lambda: build_codec("polar", 10**400 + 4, 10**400), BLOCK_FINITE),
+    ("bench_codec packet size past the float range",
+     lambda: bench.bench_codec("mds", 4, 2, packet_size=10**400), MODEL_SIZE),
+    ("delay_budget infinite delay",
+     lambda: analytics.delay_budget(0.1, math.inf, 4, 0, 0, 0), "delay components must be finite"),
+    ("delay_budget count past the float range",
+     lambda: analytics.delay_budget(0.1, 0.1, 10**400, 0, 0, 0), "counts must be finite"),
+    ("collectable_packets NaN budget", lambda: analytics.collectable_packets(math.nan, 0.1),
+     "budget and packet interval must be finite"),
+    ("collectable_packets infinite count", lambda: analytics.collectable_packets(1e308, 1e-308),
+     "budget / packet interval must be finite"),
     ("enumerate_patterns k=0", lambda: multicast.enumerate_patterns(0, 1, 0.05),
      "need 1 <= e_max <= k, got e_max=1"),
     ("enumerate_patterns probability",
@@ -102,3 +134,116 @@ def test_entry_point_raises_its_rules_message(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+# every numeric argument of the sweep below is its valid base value or one of these
+EDGES = (math.nan, math.inf, -math.inf, -1, 0, 2**64, 10**400, np.int64(3), True, 8.0)
+# An argument that sizes a draw, a thread pool or an allocation leaves out 2**64,
+# which its checks let through: 2**64 receivers is a valid draw that never ends.
+# One that its checks let through at 10**400 as well leaves out both: bench_codec's
+# iterations, polar levels and enumerate_patterns' e_max, which sizes a sum of
+# C(k, i) over i = 1..e_max taken before the pattern cap is checked.
+SIZES = tuple(v for v in EDGES if v != 2**64)
+COUNTS = tuple(v for v in SIZES if v != 10**400)
+_FOUNTAIN = build_codec("fountain", 8, 4, seed=1)
+_PATTERNS = multicast.enumerate_patterns(4, 2, 0.1)
+_DRAW = dict(receivers=50, seed=1, workers=1)
+_DRAWN = dict(receivers=SIZES, seed=EDGES, workers=SIZES)
+_BENCH = dict(k=4, p=2, packet_size=16, erasure_count=1, iterations=bench.MIN_ITERATIONS, seed=1)
+
+# (entry point, call, base keyword arguments, the values each swept argument takes)
+SWEEP = [
+    ("check_block", check_block, dict(n=8, k=4), dict(n=EDGES, k=EDGES)),
+    ("build_mds", build_mds, dict(n=8, k=4), dict(n=EDGES, k=EDGES)),
+    ("build_codec mds", lambda **a: build_codec("mds", **a), dict(n=8, k=4),
+     dict(n=EDGES, k=EDGES)),
+    ("build_codec fountain", lambda **a: build_codec("fountain", **a), dict(n=8, k=4, seed=1),
+     dict(n=SIZES, k=SIZES, seed=EDGES)),
+    ("build_codec polar", lambda **a: build_codec("polar", **a), dict(n=8, k=4, epsilon=0.05),
+     dict(n=EDGES, k=EDGES, epsilon=EDGES)),
+    ("FountainCode", FountainCode, dict(k=4, seed=1, n=8), dict(k=SIZES, seed=EDGES, n=SIZES)),
+    ("polar_for_parity", polar_for_parity, dict(k=4, p=4, epsilon=0.05),
+     dict(k=SIZES, p=SIZES, epsilon=EDGES)),
+    ("PolarCodec", polar.PolarCodec, dict(levels=3, k=4, epsilon=0.05),
+     dict(levels=COUNTS, k=SIZES, epsilon=EDGES)),
+    ("bhattacharyya", polar.bhattacharyya, dict(levels=3, epsilon=0.05),
+     dict(levels=COUNTS, epsilon=EDGES)),
+    ("channel_split", polar.channel_split, dict(levels=3, k=4, epsilon=0.05),
+     dict(levels=COUNTS, k=EDGES, epsilon=EDGES)),
+    ("plr_mds", analytics.plr_mds, dict(n=8, k=4, p_e=0.05), dict(n=EDGES, k=EDGES, p_e=EDGES)),
+    ("plr_fountain", analytics.plr_fountain, dict(n=8, k=4, p_e=0.05),
+     dict(n=EDGES, k=EDGES, p_e=EDGES)),
+    ("systematic_erasures_pmf", analytics.systematic_erasures_pmf, dict(e=2, i=1, n=8, k=4),
+     dict(e=EDGES, i=EDGES, n=EDGES, k=EDGES)),
+    ("plr_empirical", lambda **a: analytics.plr_empirical(_FOUNTAIN, **a),
+     dict(n=8, k=4, p_e=0.05, **_DRAW), dict(n=EDGES, k=EDGES, p_e=EDGES, **_DRAWN)),
+    *[(f"min_parity {family}", lambda family=family, **a: analytics.min_parity(family, **a),
+       dict(k=4, p_e=0.05, plr_target=1e-2, **_DRAW),
+       dict(k=SIZES if family == "polar" else EDGES, p_e=EDGES, plr_target=EDGES, **_DRAWN))
+      for family in ("mds", "fountain", "polar")],
+    *[(f"op_count {family}", lambda family=family, **a: analytics.op_count(family, **a),
+       dict(k=4, p=2, packet_size=1500, word_bytes=8),
+       dict(k=EDGES, p=EDGES, packet_size=EDGES, word_bytes=EDGES))
+      for family in ("mds", "polar")],
+    ("delay_budget", analytics.delay_budget,
+     dict(rtt=0.1, packet_interval=0.01, k=4, encode_delay=0.0, decode_delay=0.0,
+          transmit_delay=0.0, repair_rounds=1),
+     dict.fromkeys(["rtt", "packet_interval", "k", "encode_delay", "decode_delay",
+                    "transmit_delay", "repair_rounds"], EDGES)),
+    ("collectable_packets", analytics.collectable_packets, dict(budget=1.0, packet_interval=0.1),
+     dict(budget=EDGES, packet_interval=EDGES)),
+    # fountain's k and p size its columns and polar's k its construction; MDS stops at n = 256
+    *[(f"bench_codec {family}", lambda family=family, **a: bench.bench_codec(family, **a),
+       _BENCH, dict(k=EDGES if family == "mds" else SIZES, p=EDGES if family == "mds" else SIZES,
+                    packet_size=SIZES, erasure_count=EDGES, iterations=COUNTS, seed=EDGES))
+      for family in ("mds", "fountain", "polar")],
+    ("enumerate_patterns", multicast.enumerate_patterns, dict(k=4, e_max=2, p_e=0.1),
+     dict(k=EDGES, e_max=COUNTS, p_e=EDGES)),
+    ("simulate_incremental", lambda **a: multicast.simulate_incremental(_FOUNTAIN, _PATTERNS, **a),
+     dict(rounds=2), dict(rounds=EDGES)),
+    ("erasure_masks", rng.erasure_masks, dict(seed=1, first=0, count=4, packets=8, p_e=0.1),
+     dict(seed=EDGES, first=EDGES, count=SIZES, packets=EDGES, p_e=EDGES)),
+    ("encode", lambda p: _FOUNTAIN.encode([b"ab"] * 4, p), dict(p=2), dict(p=EDGES)),
+    ("decode", lambda i: _FOUNTAIN.decode({i: b"ab", 2: b"ab"}), dict(i=5), dict(i=EDGES)),
+    ("recovery_rows", lambda rounds: _FOUNTAIN.recovery_rows([frozenset({1})], rounds),
+     dict(rounds=2), dict(rounds=EDGES)),
+]
+
+
+def _finite(value) -> bool:
+    """Every float in a result, through dataclass fields and sequences, is finite."""
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
+
+
+def _finite_or_rejected(call, kwargs) -> None:
+    """The call returns a finite value or raises ValueError or TypeError, within
+    2 s; OverflowError or any other error fails. A bool counts as an int."""
+    start = time.perf_counter()
+    try:
+        result = call(**kwargs)
+    except (ValueError, TypeError):
+        result = None
+    assert time.perf_counter() - start < 2.0, kwargs
+    assert _finite(result), (kwargs, result)
+
+
+@pytest.mark.parametrize("call, base, swept", [row[1:] for row in SWEEP],
+                         ids=[row[0] for row in SWEEP])
+def test_numeric_edges_give_a_finite_value_or_a_value_or_type_error(call, base, swept):
+    # every edge alone, since most mixes stop at their first check; then mixes
+    for name, values in swept.items():
+        for value in values:
+            _finite_or_rejected(call, {**base, name: value})
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def mixed(data):
+        drawn = {name: data.draw(st.sampled_from((base[name], *values)), label=name)
+                 for name, values in swept.items()}
+        _finite_or_rejected(call, {**base, **drawn})
+
+    mixed()

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from erasurelab import gf2
+from erasurelab import gf2, polar
 from erasurelab.polar import (
     BLOCK_CAP,
     ConstructionError,
@@ -227,6 +227,18 @@ def test_polar_for_parity_block_choice():
     assert codec.n == 32
     with pytest.raises(ValueError):
         polar_for_parity(BLOCK_CAP, 1, 0.05)
+
+
+def test_polar_for_parity_levels_equal_the_level_search(monkeypatch):
+    # the closed form against the search it replaced: the smallest 2**levels,
+    # levels >= 1, that holds k + p packets and exceeds k
+    monkeypatch.setattr(polar, "PolarCodec", lambda levels, k, epsilon: levels)
+    for k in range(1, 600):
+        for p in range(600):
+            levels = 1
+            while (1 << levels) < k + p or (1 << levels) <= k:
+                levels += 1
+            assert polar_for_parity(k, p, 0.05) == levels, (k, p)
 
 
 def test_parity_limit_matches_reservoir():
