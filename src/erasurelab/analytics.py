@@ -301,9 +301,11 @@ def op_count(family: str, k: int, p: int, packet_size: int = 1500,
     else:
         per_column = (k - 1) / 2.0
         per_packet = per_column * (packet_size / word_bytes)
+    per_column, per_packet, per_block = check_finite("operation counts", per_column,
+                                                     per_packet, per_packet * p)
     return OpCount(family=family, k=k, p=p, packet_size=packet_size,
                    word_bytes=word_bytes, per_column=per_column,
-                   per_packet=per_packet, per_block=per_packet * p)
+                   per_packet=per_packet, per_block=per_block)
 
 
 def delay_budget(rtt: float, packet_interval: float, k: int, encode_delay: float,
@@ -322,8 +324,9 @@ def delay_budget(rtt: float, packet_interval: float, k: int, encode_delay: float
     k, repair_rounds = check_finite("counts", k, repair_rounds)
     if k < 0 or repair_rounds < 0:
         raise ValueError("counts must be non-negative")
-    return (rtt / 2.0 + k * packet_interval + encode_delay + transmit_delay
-            + repair_rounds * (rtt + 2.0 * transmit_delay) + decode_delay)
+    return check_finite("delay budget", rtt / 2.0 + k * packet_interval + encode_delay
+                        + transmit_delay + repair_rounds * (rtt + 2.0 * transmit_delay)
+                        + decode_delay)[0]
 
 
 def collectable_packets(budget: float, packet_interval: float) -> int:

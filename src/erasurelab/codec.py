@@ -17,6 +17,7 @@ import numpy as np
 from . import gf2
 
 FAMILIES = ("mds", "fountain", "polar")
+BLOCK_CAP = 1 << 16  # the xor families take blocks of at most this many packets
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,13 @@ def check_block(n: int, k: int) -> tuple[int, int]:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return n, k
+
+
+def check_block_cap(what: str, n: int) -> None:
+    """Reject an xor-family block of more than BLOCK_CAP packets, before any
+    column is built."""
+    if n > BLOCK_CAP:
+        raise ValueError(f"{what}={n} exceeds the block cap {BLOCK_CAP}")
 
 
 def check_code(family: str, n: int, k: int) -> tuple[int, int]:

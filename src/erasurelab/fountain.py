@@ -9,7 +9,7 @@ one: its first columns are the same.
 from __future__ import annotations
 
 from . import rng
-from .codec import ExplicitXorCodec, check_block
+from .codec import ExplicitXorCodec, check_block, check_block_cap
 
 
 class FountainCode(ExplicitXorCodec):
@@ -17,6 +17,7 @@ class FountainCode(ExplicitXorCodec):
 
     def __init__(self, k: int, seed: int, n: int):
         n, k = check_block(n, k)
+        check_block_cap("n", n)
         stream = rng.substream(seed, rng.STREAM_FOUNTAIN)
         super().__init__(k, [rng.bits(rng.word(stream, j), k) for j in range(1, n - k + 1)])
         self.seed = seed

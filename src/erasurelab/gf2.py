@@ -2,8 +2,8 @@
 
 Rows are stored as Python ints, bit j of a row is column j. Addition is xor,
 so row operations cost one machine word operation per word of packed bits.
-`kernel_entry` reads the polar kernel power, `ones` walks the set bits of a
-row, `pack` sets them and `xor_rows` sums the rows a mask selects.
+`ones` walks the set bits of a row, `pack` sets them and `xor_rows` sums the
+rows a mask selects.
 `reduce_echelon` and `reduce_augmented` share one scalar elimination;
 `unsolved_totals` runs it on many systems at once, in rank slots, the
 systems sorted by unknown count.
@@ -24,16 +24,6 @@ _CHUNK = 1 << 12  # systems per elimination pass: a 2 MiB basis at 64 unknowns
 _GATHER_BYTES = 1 << 19
 # padding bytes that cost less to xor than one more gather and reduce call
 _MERGE_BYTES = 1 << 15
-
-
-def kernel_entry(row: int, col: int) -> int:
-    """Entry (row, col), 0-based, of any Kronecker power of the 2x2
-    lower-triangular kernel [[1, 0], [1, 1]] large enough to hold it.
-
-    The Kronecker structure makes the entry 1 exactly when the column's bit
-    pattern is a subset of the row's.
-    """
-    return 1 if (col & ~row) == 0 else 0
 
 
 def ones(mask: int) -> list[int]:

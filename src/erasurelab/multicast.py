@@ -73,11 +73,13 @@ def enumerate_patterns(k: int, e_max: int, p_e: float) -> PatternSet:
     if not 1 <= e_max <= k:
         raise ValueError(f"need 1 <= e_max <= k, got e_max={e_max}")
     check_probability(p_e)
-    total = sum(math.comb(k, i) for i in range(1, e_max + 1))
-    if total > PATTERN_CAP:
-        raise ValueError(
-            f"{total} patterns exceed the enumeration cap {PATTERN_CAP}; lower e_max "
-            f"or sample patterns instead of enumerating them")
+    total = 0
+    for i in range(1, e_max + 1):  # stopped once past the cap, so total is a lower bound
+        total += math.comb(k, i)
+        if total > PATTERN_CAP:
+            raise ValueError(
+                f"at least {total} patterns exceed the enumeration cap {PATTERN_CAP}; lower "
+                f"e_max or sample patterns instead of enumerating them")
     patterns = []
     for i in range(1, e_max + 1):
         prob = p_e**i * (1.0 - p_e) ** (k - i)

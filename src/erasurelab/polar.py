@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import gf2
-from .codec import ExplicitXorCodec, check_block, check_finite
+from .codec import BLOCK_CAP, ExplicitXorCodec, check_block, check_block_cap, check_finite
 
-BLOCK_CAP = 1 << 16  # polar_for_parity takes at most this many packets, k + p
+_MAX_LEVELS = BLOCK_CAP.bit_length() - 1  # 2**levels channels fill at most BLOCK_CAP
 
 
 class ConstructionError(Exception):
@@ -34,14 +34,20 @@ def bhattacharyya(levels: int, epsilon: float) -> list[float]:
     Each step replaces a value z by the adjacent pair (2z - z^2, z^2), so
     channel 1 is always the worst and channel 2**levels the best.
     """
-    if levels < 1:
-        raise ValueError("need at least one level")
+    _check_levels(levels)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     z = [epsilon]
     for _ in range(levels):
         z = [w for v in z for w in (2.0 * v - v * v, v * v)]
     return z
+
+
+def _check_levels(levels: int) -> None:
+    """The one levels rule, checked on the ints before any 2**levels is computed."""
+    if not 1 <= levels <= _MAX_LEVELS:
+        raise ValueError(f"need 1 <= levels <= {_MAX_LEVELS}, the block cap {BLOCK_CAP}, "
+                         f"got levels={levels}")
 
 
 def quality_order(z: Sequence[float]) -> list[int]:
@@ -56,6 +62,7 @@ def quality_order(z: Sequence[float]) -> list[int]:
 def channel_split(levels: int, k: int, epsilon: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split channels into the k information channels (decreasing quality)
     and the frozen remainder (increasing quality, worst first)."""
+    _check_levels(levels)
     n = 1 << levels
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < 2**levels, got k={k}, n={n}")
@@ -72,26 +79,29 @@ class PolarCodec(ExplicitXorCodec):
     already restricted to the information rows: the frozen rows carry no
     information, so their ones simply disappear from the mask.
 
-    The k x k submatrix of the kernel power on the information channels is
-    checked to be self-inverse; that is the algebraic fact that lets the
-    information columns be replaced by the identity while the frozen-channel
-    columns keep their kernel entries on the information rows. A failure
-    raises ConstructionError rather than producing a quietly wrong code.
+    The information block, the kernel power on the information rows and
+    columns, must be its own inverse: that lets the information columns be
+    replaced by the identity. If it is not, ConstructionError is raised.
     """
 
     family = "polar"
 
     def __init__(self, levels: int, k: int, epsilon: float):
         info, frozen = channel_split(levels, k, epsilon)
-        sub = [sum((1 << s) for s in range(k) if gf2.kernel_entry(info[t] - 1, info[s] - 1))
-               for t in range(k)]
-        if not all(gf2.xor_rows(row, sub) == 1 << t for t, row in enumerate(sub)):
+        # the kernel power is a Kronecker power of [[1, 0], [1, 1]], so its entry (r, c),
+        # 0-based, is 1 exactly when c's bits lie inside r's; column(c) has row rows[t] at bit t
+        rows = [ch - 1 for ch in info]
+
+        def column(c: int) -> int:
+            return sum(1 << t for t, r in enumerate(rows) if not c & ~r)
+
+        block = [column(r) for r in rows]  # the information block, by columns
+        # a square GF(2) matrix is an involution exactly when its transpose is
+        if not all(gf2.xor_rows(col, block) == 1 << s for s, col in enumerate(block)):
             raise ConstructionError(
                 f"information submatrix is not self-inverse for levels={levels}, "
                 f"k={k}, epsilon={epsilon}")
-        reservoir = [sum((1 << t) for t in range(k) if gf2.kernel_entry(info[t] - 1, ch - 1))
-                     for ch in frozen]
-        super().__init__(k, reservoir)
+        super().__init__(k, [column(ch - 1) for ch in frozen])
         self.epsilon = epsilon
         self.info_channels = info
         self.parity_channels = frozen
@@ -119,7 +129,6 @@ def polar_for_parity(k: int, p: int, epsilon: float) -> PolarCodec:
     """
     k, p = check_finite("k and p", k, p)  # before k + p, which may overflow
     check_block(k + p, k)
-    if k + p > BLOCK_CAP:
-        raise ValueError(f"k+p={k + p} exceeds the block cap {BLOCK_CAP}")
+    check_block_cap("k+p", k + p)
     levels = int(max(k + p - 1, k)).bit_length()  # the smallest 2**levels > k that holds k + p
     return PolarCodec(levels, k, epsilon)

@@ -215,8 +215,14 @@ def test_rejected_inputs_announce_no_drawn_seed(args):
      "the analytic loss rate takes blocks of at most 1029 packets, got 1100"),
     (("bench", "--family", "mds", "--k", 4, "--parity", 2, "--size", "1" + "0" * 400),
      "packet size and word width must be finite"),
+    (("bench", "--family", "fountain", "--k", 4, "--parity", 70000, "--seed", 1),
+     "n=70004 exceeds the block cap 65536"),
+    (("multicast", "--k", 10**6, "--pe", 0.05, "--emax", 5 * 10**5),
+     "at least 500000500000 patterns exceed the enumeration cap 1000000; lower e_max or "
+     "sample patterns instead of enumerating them"),
 ], ids=["plr receivers", "plan receivers", "plr analytic block", "plan analytic block",
-        "bench size past the float range"])
+        "bench size past the float range", "bench fountain past the block cap",
+        "multicast past the pattern cap"])
 def test_inputs_past_a_library_cap_exit_2_at_once(args, message):
     result = run(*args)
     assert result.exit_code == 2

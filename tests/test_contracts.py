@@ -1,6 +1,7 @@
 """Every public entry point rejects a bad block, family, erasure probability,
-draw size, analytic block, model size or non-finite number with its rule's
-one message, whatever the family, and no numeric edge gets past its checks."""
+draw size, analytic block, block or pattern cap, level count, model size or
+non-finite number with its rule's one message, whatever the family, and no
+numeric edge gets past its checks."""
 from __future__ import annotations
 
 import dataclasses
@@ -28,6 +29,10 @@ MODEL_SIZE = "packet size and word width must be finite"
 BLOCK_FINITE = "n and k must be finite"
 PARITY_FINITE = "k and p must be finite"
 WORKER = "need at least one worker"
+LEVELS = "need 1 <= levels <= 16, the block cap 65536, got levels={}"
+BLOCK_CAP = "{}={} exceeds the block cap 65536"
+PATTERN_CAP = ("at least {} patterns exceed the enumeration cap 1000000; lower e_max or sample "
+               "patterns instead of enumerating them")
 
 
 def _fountain():
@@ -45,6 +50,23 @@ CONTRACTS = [
     ("ErasureCodec block", lambda: ErasureCodec(2, 3), BLOCK.format(3, 2)),
     ("ExplicitXorCodec block", lambda: ExplicitXorCodec(0, []), BLOCK.format(0, 0)),
     ("FountainCode block", lambda: FountainCode(4, 1, n=2), BLOCK.format(4, 2)),
+    ("FountainCode block before the block cap",
+     lambda: FountainCode(2**64 + 1, 1, n=2**64), BLOCK.format(2**64 + 1, 2**64)),
+    ("FountainCode block cap", lambda: FountainCode(4, 1, n=2**64), BLOCK_CAP.format("n", 2**64)),
+    ("build_codec fountain block cap", lambda: build_codec("fountain", 65537, 4, seed=1),
+     BLOCK_CAP.format("n", 65537)),
+    ("bench_codec fountain block cap", lambda: bench.bench_codec("fountain", 4, 70000, seed=1),
+     BLOCK_CAP.format("n", 70004)),
+    ("polar_for_parity block cap", lambda: polar_for_parity(4, 65533, 0.05),
+     BLOCK_CAP.format("k+p", 65537)),
+    ("bhattacharyya no level", lambda: polar.bhattacharyya(0, 0.5), LEVELS.format(0)),
+    ("bhattacharyya levels past the block cap", lambda: polar.bhattacharyya(17, 0.05),
+     LEVELS.format(17)),
+    ("channel_split levels past the block cap", lambda: polar.channel_split(70, 1, 0.05),
+     LEVELS.format(70)),
+    ("channel_split levels before k", lambda: polar.channel_split(0, 1, 0.05), LEVELS.format(0)),
+    ("PolarCodec levels past the float range", lambda: polar.PolarCodec(10**400, 4, 0.05),
+     LEVELS.format(10**400)),
     ("build_mds block", lambda: build_mds(2, 3), BLOCK.format(3, 2)),
     ("systematic_erasures_pmf block",
      lambda: analytics.systematic_erasures_pmf(0, 0, 2, 3), BLOCK.format(3, 2)),
@@ -95,6 +117,11 @@ CONTRACTS = [
      lambda: analytics.op_count("fountain", 8, 4, word_bytes=float("inf")), MODEL_SIZE),
     ("op_count packet size past the float range",
      lambda: analytics.op_count("mds", 8, 4, packet_size=10**400), MODEL_SIZE),
+    ("op_count costs past the float range",
+     lambda: analytics.op_count("mds", 10**300, 1, packet_size=10**300),
+     "operation counts must be finite"),
+    ("op_count cost per column past the float range",
+     lambda: analytics.op_count("mds", 10**308, 1), "operation counts must be finite"),
     ("op_count infinite k", lambda: analytics.op_count("mds", float("inf"), 4), PARITY_FINITE),
     ("op_count k past the float range",
      lambda: analytics.op_count("mds", 10**400, 4), PARITY_FINITE),
@@ -112,6 +139,8 @@ CONTRACTS = [
      lambda: analytics.delay_budget(0.1, math.inf, 4, 0, 0, 0), "delay components must be finite"),
     ("delay_budget count past the float range",
      lambda: analytics.delay_budget(0.1, 0.1, 10**400, 0, 0, 0), "counts must be finite"),
+    ("delay_budget budget past the float range",
+     lambda: analytics.delay_budget(1e308, 1e308, 10, 0, 0, 0), "delay budget must be finite"),
     ("collectable_packets NaN budget", lambda: analytics.collectable_packets(math.nan, 0.1),
      "budget and packet interval must be finite"),
     ("collectable_packets infinite count", lambda: analytics.collectable_packets(1e308, 1e-308),
@@ -120,6 +149,13 @@ CONTRACTS = [
      "need 1 <= e_max <= k, got e_max=1"),
     ("enumerate_patterns probability",
      lambda: multicast.enumerate_patterns(4, 1, 1.5), PROBABILITY.format(1.5)),
+    ("enumerate_patterns pattern cap, exact count",
+     lambda: multicast.enumerate_patterns(200, 3, 0.1), PATTERN_CAP.format(1333500)),
+    ("enumerate_patterns pattern cap, stopped early",
+     lambda: multicast.enumerate_patterns(10**6, 5 * 10**5, 0.1),
+     PATTERN_CAP.format(500000500000)),
+    ("enumerate_patterns e_max past the float range",
+     lambda: multicast.enumerate_patterns(10**400, 10**400, 0.1), PATTERN_CAP.format(10**400)),
     ("erasure_masks negative probability",
      lambda: rng.erasure_masks(0, 0, 4, 8, -0.5), PROBABILITY.format(-0.5)),
     ("erasure_masks probability",
@@ -138,11 +174,9 @@ def test_entry_point_raises_its_rules_message(call, message):
 
 # every numeric argument of the sweep below is its valid base value or one of these
 EDGES = (math.nan, math.inf, -math.inf, -1, 0, 2**64, 10**400, np.int64(3), True, 8.0)
-# An argument that sizes a draw, a thread pool or an allocation leaves out 2**64,
-# which its checks let through: 2**64 receivers is a valid draw that never ends.
-# One that its checks let through at 10**400 as well leaves out both: bench_codec's
-# iterations, polar levels and enumerate_patterns' e_max, which sizes a sum of
-# C(k, i) over i = 1..e_max taken before the pattern cap is checked.
+# An argument that sizes a draw, a thread pool or an allocation its checks let
+# through at 2**64 leaves that value out: 2**64 receivers is a valid draw that
+# never ends. bench_codec's iterations, a loop count, leaves out 10**400 as well.
 SIZES = tuple(v for v in EDGES if v != 2**64)
 COUNTS = tuple(v for v in SIZES if v != 10**400)
 _FOUNTAIN = build_codec("fountain", 8, 4, seed=1)
@@ -158,18 +192,18 @@ SWEEP = [
     ("build_codec mds", lambda **a: build_codec("mds", **a), dict(n=8, k=4),
      dict(n=EDGES, k=EDGES)),
     ("build_codec fountain", lambda **a: build_codec("fountain", **a), dict(n=8, k=4, seed=1),
-     dict(n=SIZES, k=SIZES, seed=EDGES)),
+     dict(n=EDGES, k=EDGES, seed=EDGES)),
     ("build_codec polar", lambda **a: build_codec("polar", **a), dict(n=8, k=4, epsilon=0.05),
      dict(n=EDGES, k=EDGES, epsilon=EDGES)),
-    ("FountainCode", FountainCode, dict(k=4, seed=1, n=8), dict(k=SIZES, seed=EDGES, n=SIZES)),
+    ("FountainCode", FountainCode, dict(k=4, seed=1, n=8), dict(k=EDGES, seed=EDGES, n=EDGES)),
     ("polar_for_parity", polar_for_parity, dict(k=4, p=4, epsilon=0.05),
-     dict(k=SIZES, p=SIZES, epsilon=EDGES)),
+     dict(k=EDGES, p=EDGES, epsilon=EDGES)),
     ("PolarCodec", polar.PolarCodec, dict(levels=3, k=4, epsilon=0.05),
-     dict(levels=COUNTS, k=SIZES, epsilon=EDGES)),
+     dict(levels=EDGES, k=EDGES, epsilon=EDGES)),
     ("bhattacharyya", polar.bhattacharyya, dict(levels=3, epsilon=0.05),
-     dict(levels=COUNTS, epsilon=EDGES)),
+     dict(levels=EDGES, epsilon=EDGES)),
     ("channel_split", polar.channel_split, dict(levels=3, k=4, epsilon=0.05),
-     dict(levels=COUNTS, k=EDGES, epsilon=EDGES)),
+     dict(levels=EDGES, k=EDGES, epsilon=EDGES)),
     ("plr_mds", analytics.plr_mds, dict(n=8, k=4, p_e=0.05), dict(n=EDGES, k=EDGES, p_e=EDGES)),
     ("plr_fountain", analytics.plr_fountain, dict(n=8, k=4, p_e=0.05),
      dict(n=EDGES, k=EDGES, p_e=EDGES)),
@@ -179,7 +213,7 @@ SWEEP = [
      dict(n=8, k=4, p_e=0.05, **_DRAW), dict(n=EDGES, k=EDGES, p_e=EDGES, **_DRAWN)),
     *[(f"min_parity {family}", lambda family=family, **a: analytics.min_parity(family, **a),
        dict(k=4, p_e=0.05, plr_target=1e-2, **_DRAW),
-       dict(k=SIZES if family == "polar" else EDGES, p_e=EDGES, plr_target=EDGES, **_DRAWN))
+       dict(k=EDGES, p_e=EDGES, plr_target=EDGES, **_DRAWN))
       for family in ("mds", "fountain", "polar")],
     *[(f"op_count {family}", lambda family=family, **a: analytics.op_count(family, **a),
        dict(k=4, p=2, packet_size=1500, word_bytes=8),
@@ -192,13 +226,12 @@ SWEEP = [
                     "transmit_delay", "repair_rounds"], EDGES)),
     ("collectable_packets", analytics.collectable_packets, dict(budget=1.0, packet_interval=0.1),
      dict(budget=EDGES, packet_interval=EDGES)),
-    # fountain's k and p size its columns and polar's k its construction; MDS stops at n = 256
     *[(f"bench_codec {family}", lambda family=family, **a: bench.bench_codec(family, **a),
-       _BENCH, dict(k=EDGES if family == "mds" else SIZES, p=EDGES if family == "mds" else SIZES,
-                    packet_size=SIZES, erasure_count=EDGES, iterations=COUNTS, seed=EDGES))
+       _BENCH, dict(k=EDGES, p=EDGES, packet_size=SIZES, erasure_count=EDGES, iterations=COUNTS,
+                    seed=EDGES))
       for family in ("mds", "fountain", "polar")],
     ("enumerate_patterns", multicast.enumerate_patterns, dict(k=4, e_max=2, p_e=0.1),
-     dict(k=EDGES, e_max=COUNTS, p_e=EDGES)),
+     dict(k=EDGES, e_max=EDGES, p_e=EDGES)),
     ("simulate_incremental", lambda **a: multicast.simulate_incremental(_FOUNTAIN, _PATTERNS, **a),
      dict(rounds=2), dict(rounds=EDGES)),
     ("erasure_masks", rng.erasure_masks, dict(seed=1, first=0, count=4, packets=8, p_e=0.1),

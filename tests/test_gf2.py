@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erasurelab import gf2
-from erasurelab.gf2 import kernel_entry
 
 
 def list_rank(rows: list[list[int]]) -> int:
@@ -71,22 +70,6 @@ def test_kernel_power_square_is_identity():
         assert [gf2.xor_rows(r, g) for r in g] == [1 << i for i in range(1 << m)]
 
 
-def test_kernel_entry_matches_matrix():
-    for m in range(9):
-        g = kernel_rows(m)
-        n = 1 << m
-        for i in range(n):
-            for j in range(n):
-                assert kernel_entry(i, j) == (g[i] >> j) & 1
-
-
-def test_kernel_entry_submatrix():
-    # rows {1, 3}, columns {0, 1} of the 4x4 kernel, packed as PolarCodec packs them
-    rows, cols = [1, 3], [0, 1]
-    sub = [sum(kernel_entry(r, c) << t for t, c in enumerate(cols)) for r in rows]
-    assert [bits(r, 2) for r in sub] == [[1, 1], [1, 1]]
-
-
 def test_ones_and_xor_rows_match_bit_lists():
     rnd = random.Random(17)
     assert gf2.ones(0) == [] and gf2.xor_rows(0, [5, 6]) == 0
@@ -147,10 +130,11 @@ def test_packed_product_associative_random():
 
 def test_kernel_is_persymmetric():
     for m in (2, 3, 4, 5):
+        g = kernel_rows(m)
         n = 1 << m
         for i in range(n):
             for j in range(n):
-                assert kernel_entry(i, j) == kernel_entry(n - 1 - j, n - 1 - i)
+                assert (g[i] >> j) & 1 == (g[n - 1 - j] >> (n - 1 - i)) & 1
 
 
 def test_rank_matches_list_oracle():
