@@ -162,8 +162,7 @@ def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
     mask of fewer packets is a prefix of a mask of more, so every entry is
     bit-identical for any worker count and any batch split. Each batch of
     receivers passes its distinct erasure patterns, weighted by how often
-    each was drawn, to one call of the codec's unrecovered_totals, which
-    drops the patterns that lose no source.
+    each was drawn, to one call of the codec's unrecovered_totals.
     """
     _check_draw(receivers, workers)
 

@@ -31,14 +31,14 @@ class DecodeResult:
 class ErasureCodec:
     """Systematic codec for one fixed block of n packets: k sources and
     parity_limit = n - k parity packets. The base class owns the checks, the
-    split into sources and parity of every operation, both packet blocks,
-    encode's encoder cache and the drop of masks that lose no source;
-    families supply one hook per operation: `_parity_encoder(p, size)` for
-    `encode`, `_solve(block, missing, js)` for `decode`, `_unsolved` for
-    `unrecovered_sources`, `_unsolved_totals` for `unrecovered_totals` and
-    `_recovery_rows` for `recovery_rows`. MDS answers `_recovery_rows` in
-    closed form; the xor codecs ask `unrecovered_sources` once per round whose
-    parity column brings a lost set a new equation.
+    split into sources and parity of every operation, both packet blocks and
+    encode's encoder cache; families supply one hook per operation:
+    `_parity_encoder(p, size)` for `encode`, `_solve(block, missing, js)` for
+    `decode`, `_unsolved` for `unrecovered_sources`, `_unsolved_totals` for
+    `unrecovered_totals` and `_recovery_rows` for `recovery_rows`. MDS
+    answers `_recovery_rows` in closed form; the xor codecs ask
+    `unrecovered_sources` once per round whose parity column brings a lost
+    set a new equation.
 
     A packet block is a read-only (rows, size) uint8 array: row t-1 is source
     t, and the last row is zeros. Encode's block is the k sources and that
@@ -128,8 +128,9 @@ class ErasureCodec:
 
     def _unsolved_totals(self, lost: np.ndarray, dropped: np.ndarray, p: int,
                          weights: np.ndarray) -> list[int]:
-        """unrecovered_totals for p = n - k, with each mask that loses a source
-        split into its source word `lost` and its parity word `dropped`."""
+        """unrecovered_totals for p = n - k, with each mask split into its
+        source word `lost`, zero for a mask that loses no source, and its
+        parity word `dropped`."""
         raise NotImplementedError
 
     def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
@@ -173,11 +174,8 @@ class ErasureCodec:
         k = self.k
         if n != k:  # n < k raises too
             self._check_parity_index(n - k)
-        sources = np.uint64((1 << k) - 1)
-        lossy = (erased & sources) != 0  # a mask that loses no source adds nothing
-        erased = erased[lossy]
-        return self._unsolved_totals(erased & sources, erased >> np.uint64(k), n - k,
-                                     weights[lossy])
+        return self._unsolved_totals(erased & np.uint64((1 << k) - 1), erased >> np.uint64(k),
+                                     n - k, weights)
 
 
 class ExplicitXorCodec(ErasureCodec):

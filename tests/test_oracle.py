@@ -493,6 +493,25 @@ def test_batch_totals_check_the_parity_range(n, j):
             codec.unrecovered_totals(np.zeros(2, dtype=np.uint64), n, np.ones(2, dtype=np.int64))
 
 
+@pytest.mark.parametrize("family", sorted(FRONT_CODECS))
+def test_batch_totals_count_masks_that_lose_no_source(family):
+    # every mask goes to the family's count, whose weights may be any int sequence
+    codec = FRONT_CODECS[family]()
+    lossless = [0, 0b10000, 0b11110000, 0b01010000]
+    for erased in (lossless + [0b0001, 0b01100011, 0b11111111, 0b10110101], lossless, []):
+        weights = [3 + 5 * i for i in range(len(erased))]
+        for n in range(codec.k, codec.n + 1):
+            masks = [m & ((1 << n) - 1) for m in erased]
+            expected = [
+                sum(w * len(codec.unrecovered_sources(
+                    i for i in range(1, codec.k + j + 1) if not m >> (i - 1) & 1))
+                    for m, w in zip(masks, weights))
+                for j in range(n - codec.k + 1)]
+            words = np.array(masks, dtype=np.uint64)
+            assert codec.unrecovered_totals(words, n, weights) == expected
+            assert codec.unrecovered_totals(words, n, np.array(weights, dtype=np.int64)) == expected
+
+
 def test_batch_totals_when_heavy_and_light_systems_interleave():
     # the kernel sorts systems by unknown count before it cuts them into chunks;
     # distinct weights catch a weight that does not follow its system

@@ -7,6 +7,8 @@ from itertools import combinations
 import pytest
 
 from erasurelab import gf2, polar
+from erasurelab.codec import ExplicitXorCodec
+from erasurelab.multicast import enumerate_patterns, simulate_incremental, weighted_cdf
 from erasurelab.polar import (
     BLOCK_CAP,
     ConstructionError,
@@ -87,6 +89,44 @@ def test_bhattacharyya_respects_the_subset_order(epsilon):
                 extra = (extra - 1) & free
     # pairs a < b with a's bits inside b's: 3**levels - 2**levels per level
     assert pairs == sum(3**levels - 2**levels for levels in range(1, 9)) == 9330
+
+
+def order_curve(codec: PolarCodec, order: list[int]) -> list[float]:
+    """The full-credit weighted_cdf fractions, rounds 0..len(order), when the
+    reservoir columns go out in `order` (indices into codec.masks), over every
+    pattern of 1..3 lost sources at p_e = codec.epsilon."""
+    patterns = enumerate_patterns(codec.k, 3, codec.epsilon)
+    reordered = ExplicitXorCodec(codec.k, [codec.masks[i] for i in order])
+    return [f for _, f in weighted_cdf(simulate_incremental(reordered, patterns), patterns).points]
+
+
+def order_area(codec: PolarCodec, order: list[int]) -> float:
+    """The score of a reservoir order: the area under its order_curve."""
+    return sum(order_curve(codec, order))
+
+
+@pytest.mark.parametrize("levels, k", [(4, 8), (5, 16), (5, 20)])
+def test_no_adjacent_swap_of_the_reservoir_raises_the_repair_area(levels, k):
+    codec = PolarCodec(levels, k, 0.05)
+    designed = list(range(len(codec.masks)))
+    area = order_area(codec, designed)
+    for i in range(len(designed) - 1):
+        swapped = designed[:i] + [i + 1, i] + designed[i + 2:]
+        assert order_area(codec, swapped) <= area + 1e-12, i
+
+
+def test_a_swap_of_incomparable_channels_raises_the_repair_area_at_64_40():
+    # worst first orders every pair of channels comparable in the subset order;
+    # channels 4 and 33 (bits 000011 and 100000 of c - 1) are not comparable,
+    # and sending 33 first repairs every pattern by round 7
+    codec = PolarCodec(6, 40, 0.05)
+    assert codec.parity_channels[6:8] == (4, 33)
+    designed = list(range(len(codec.masks)))
+    swapped = designed[:6] + [7, 6] + designed[8:]
+    before, after = order_curve(codec, designed), order_curve(codec, swapped)
+    assert [t for t, (a, b) in enumerate(zip(before, after)) if a != b] == [7]
+    assert (round(before[7], 6), after[7]) == (0.979612, 1.0)
+    assert (round(sum(before), 6), round(sum(after), 6)) == (22.434185, 22.454573)
 
 
 def test_bhattacharyya_validation():
