@@ -8,6 +8,7 @@ The Monte-Carlo path simulates independent receivers against a real codec.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -142,15 +143,16 @@ def plr_fountain(n: int, k: int, p_e: float) -> PlrReport:
 ANALYTIC_PLR = {"mds": plr_mds, "fountain": plr_fountain}
 
 
-def _check_draw(receivers: int, workers: int) -> None:
+def _check_draw(receivers: int, workers: int) -> tuple[int, int]:
     """Reject a Monte-Carlo draw of no receivers, of more receivers than the
-    receiver stream holds (2**64), or of no workers."""
+    receiver stream holds (2**64), or of no workers; return both as ints."""
     if receivers < 1:
         raise ValueError("need at least one receiver")
     if receivers > 2**64:
         raise ValueError(f"need at most 2**64 receivers, got {receivers}")
     if workers < 1:
         raise ValueError("need at least one worker")
+    return operator.index(receivers), operator.index(workers)
 
 
 def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
@@ -160,44 +162,43 @@ def _lost_totals(codec, n: int, p_e: float, receivers: int, seed: int,
 
     Receiver r draws its erasures from a stream keyed by (seed, r), and a
     mask of fewer packets is a prefix of a mask of more, so every entry is
-    bit-identical for any worker count and any batch split. Each batch of
-    receivers passes its distinct erasure patterns, weighted by how often
-    each was drawn, to one call of the codec's unrecovered_totals.
+    bit-identical for any worker count and any batch split. Worker w draws
+    receivers bounds[w] to bounds[w + 1] in batches; each batch passes its
+    distinct erasure patterns, weighted by how often each was drawn, to one
+    call of the codec's unrecovered_totals. The callers check the draw.
     """
-    _check_draw(receivers, workers)
-
-    def run_range(first: int, count: int) -> list[int]:
-        totals = [0] * (n - codec.k + 1)
-        for done in range(0, count, _BATCH):
-            batch = rng.erasure_masks(seed, first + done, min(_BATCH, count - done), n, p_e)
-            masks, cnts = np.unique(batch, return_counts=True)
-            totals = [a + b for a, b in zip(totals, codec.unrecovered_totals(masks, n, cnts))]
-        return totals
-
     workers = min(workers, -(-receivers // _BATCH))  # no more threads than batches
     bounds = [(receivers * w) // workers for w in range(workers + 1)]
-    if workers == 1:
-        return run_range(0, receivers)
     # Where scheduler load balancing is off, a new thread stays on the CPU of
     # the thread that started it, so unplaced workers share one CPU. While the
     # caller may use at least as many CPUs as there are workers, worker w moves
     # to its own share of them and then gives the scheduler all of them back:
     # without load balancing the thread stays where it moved, with it the
-    # scheduler may still move it off a busy CPU. A platform that cannot
-    # place a thread runs every worker where it starts.
-    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    place = len(allowed) >= workers
+    # scheduler may still move it off a busy CPU. A single worker runs on the
+    # calling thread and is never moved; a platform that cannot place a thread
+    # runs every worker where it starts.
+    allowed = (sorted(os.sched_getaffinity(0))
+               if workers > 1 and hasattr(os, "sched_setaffinity") else [])
+    place = 1 < workers <= len(allowed)
 
-    def placed_range(w: int) -> list[int]:
+    def run(w: int) -> list[int]:
         if place:
             tid = threading.get_native_id()
             with suppress(OSError):  # placement refused: the worker runs where it is
                 os.sched_setaffinity(tid, allowed[w::workers])
                 os.sched_setaffinity(tid, allowed)
-        return run_range(bounds[w], bounds[w + 1] - bounds[w])
+        end = bounds[w + 1]
+        totals = [0] * (n - codec.k + 1)
+        for first in range(bounds[w], end, _BATCH):
+            batch = rng.erasure_masks(seed, first, min(_BATCH, end - first), n, p_e)
+            masks, cnts = np.unique(batch, return_counts=True)
+            totals = [a + b for a, b in zip(totals, codec.unrecovered_totals(masks, n, cnts))]
+        return totals
 
+    if workers == 1:
+        return run(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [sum(col) for col in zip(*pool.map(placed_range, range(workers)))]
+        return [sum(col) for col in zip(*pool.map(run, range(workers)))]
 
 
 def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RECEIVERS,
@@ -213,9 +214,10 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
         raise ValueError(f"codec provides {codec.parity_limit} parity packets, n={n} needs {n - k}")
     if codec.family is None:  # checked before the draw
         raise ValueError(f"{type(codec).__name__} belongs to no family")
+    receivers, workers = _check_draw(receivers, workers)
     lost = _lost_totals(codec, n, p_e, receivers, seed, workers)[-1]
-    return PlrReport(family=codec.family, n=n, k=k, p_e=p_e,
-                     plr=lost / (receivers * k), method="mc", receivers=receivers, seed=seed)
+    return PlrReport(family=codec.family, n=n, k=k, p_e=p_e, plr=lost / (receivers * k),
+                     method="mc", receivers=receivers, seed=operator.index(seed))
 
 
 def _parity_scan(family: str, k: int, p_e: float, receivers: int, seed: int, workers: int):
@@ -264,11 +266,11 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     packet is lost (p_e = 1). When fountain needs parity, a k past
     ANALYTIC_BLOCK_CAP is a parameter error.
     """
-    check_code(family, k, k)
+    _, k = check_code(family, k, k)
     rng.check_probability(p_e)
     if not 0.0 < plr_target < 1.0:
         raise ValueError(f"loss target must be in (0, 1), got {plr_target}")
-    _check_draw(receivers, workers)
+    receivers, workers = _check_draw(receivers, workers)
     if p_e == 1.0:
         return None
     for p, plr, block in _parity_scan(family, k, p_e, receivers, seed, workers):
@@ -277,7 +279,7 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
             return ParityPlan(family=family, k=k, p=p, n=k + p, plr=plr,
                               method="mc" if mc else "analytic",
                               receivers=receivers if mc else None,
-                              seed=seed if mc else None, block_length=block)
+                              seed=operator.index(seed) if mc else None, block_length=block)
     return None
 
 

@@ -218,18 +218,16 @@ def multicast_cmd(k, pe, emax, families, rounds, partial, seed, epsilon, as_json
     patterns = multicast.enumerate_patterns(k, emax, pe)
     eps = {"epsilon": epsilon} if epsilon is not None else channel_epsilon(pe)
     rows = []
-    polar = None  # fountain's parity budget is the polar reservoir's size
+    polar = None  # fountain's block is the polar block, or k + --rounds
     for fam in fams:
         if fam == "mds":
             codec = build_codec("mds", k + emax, k)
-            fam_rounds = rounds if rounds is not None else emax
         else:
             polar = polar or build_codec("polar", k + emax, k, **eps)
-            fam_rounds = rounds if rounds is not None else polar.parity_limit
             # a negative --rounds is left to simulate_incremental to reject
             codec = polar if fam == "polar" else build_codec(
-                "fountain", k + max(fam_rounds, 0), k, seed=seed)
-        table = multicast.simulate_incremental(codec, patterns, rounds=fam_rounds)
+                "fountain", polar.n if rounds is None else k + max(rounds, 0), k, seed=seed)
+        table = multicast.simulate_incremental(codec, patterns, rounds=rounds)
         curve = multicast.weighted_cdf(table, patterns, partial=partial)
         for t, fraction in curve.points:
             rows.append({"family": fam, "parity_sent": t, "weighted_fraction": fraction})

@@ -113,21 +113,18 @@ def weighted_cdf(table: RecoveryTable, pattern_set: PatternSet,
     """
     if len(pattern_set.patterns) != len(table.lost_sizes):
         raise ValueError("pattern set does not match the recovery table")
-    denom = math.fsum(p.probability for p in pattern_set.patterns)
+    triples = [(pattern.probability, row, size) for pattern, row, size
+               in zip(pattern_set.patterns, table.recovered, table.lost_sizes)]
+    denom = math.fsum(w for w, _, _ in triples)
     if denom == 0:
         raise ValueError(f"the patterns have zero total weight at p_e={pattern_set.p_e}: "
                          f"no pattern of 1..{pattern_set.e_max} losses can occur")
     points = []
     for t in range(table.rounds + 1):
         if partial:
-            num = math.fsum(
-                p.probability * table.recovered[idx][t] / table.lost_sizes[idx]
-                for idx, p in enumerate(pattern_set.patterns))
+            num = math.fsum(w * row[t] / size for w, row, size in triples)
         else:
-            num = math.fsum(
-                p.probability
-                for idx, p in enumerate(pattern_set.patterns)
-                if table.recovered[idx][t] == table.lost_sizes[idx])
+            num = math.fsum(w for w, row, size in triples if row[t] == size)
         points.append((t, num / denom))
     return CdfCurve(p_e=pattern_set.p_e, e_max=pattern_set.e_max,
                     points=tuple(points), partial=partial)

@@ -275,6 +275,31 @@ def test_multicast_fountain_deterministic_with_seed():
     assert a.output == b.output
 
 
+def _rows(output: str, family: str) -> list[str]:
+    return [line for line in output.splitlines() if line.startswith(f"{family},")]
+
+
+@pytest.mark.parametrize("rounds", [(), ("--rounds", 2)], ids=["default", "rounds 2"])
+def test_multicast_fountain_rows_do_not_depend_on_the_other_families(rounds):
+    # the fountain block is the polar block, or k + --rounds, whichever
+    # families run beside it; by default it runs as many rounds as polar
+    args = ("multicast", "--k", 8, "--pe", 0.05, "--emax", 3, "--seed", 5, *rounds)
+    alone = run(*args, "--families", "fountain")
+    mixed = run(*args, "--families", "mds,polar,fountain")
+    assert alone.exit_code == mixed.exit_code == 0
+    fountain = _rows(alone.output, "fountain")
+    assert fountain == _rows(mixed.output, "fountain")
+    assert len(fountain) == (3 if rounds else len(_rows(mixed.output, "polar")))
+
+
+def test_multicast_mds_rows_end_at_emax():
+    # MDS is built at k + emax, so its parity budget is emax, not the polar reservoir's
+    result = run("multicast", "--k", 8, "--pe", 0.05, "--emax", 3, "--families", "mds,polar")
+    assert result.exit_code == 0
+    assert [int(row.split(",")[1]) for row in _rows(result.output, "mds")] == [0, 1, 2, 3]
+    assert len(_rows(result.output, "polar")) > 4
+
+
 def test_multicast_builds_one_polar_codec_for_fountain_and_polar(monkeypatch):
     calls = []
     real = polar.polar_for_parity

@@ -280,3 +280,22 @@ def test_numeric_edges_give_a_finite_value_or_a_value_or_type_error(call, base, 
         _finite_or_rejected(call, {**base, **drawn})
 
     mixed()
+
+
+@pytest.mark.parametrize("family", ["mds", "fountain", "polar"])
+def test_numpy_counts_come_back_as_python_numbers(family):
+    # a numpy integer counts as the Python int of its value, in the reports too
+    def calls(as_count):
+        k, n = as_count(12), as_count(16)
+        draw = dict(receivers=as_count(5000), seed=as_count(1), workers=as_count(2))
+        codec = build_codec(family, 16, 12, seed=1, epsilon=0.05)
+        return [analytics.min_parity(family, k, 0.05, 1e-2, **draw),
+                analytics.min_parity(family, k, 0.05, 1e-6, **draw),
+                analytics.plr_empirical(codec, n, k, 0.05, **draw)]
+
+    for got, want in zip(calls(np.int64), calls(int)):
+        assert type(got) is type(want)
+        for field in dataclasses.fields(want):
+            value = getattr(got, field.name)
+            assert type(value) in (str, int, float, type(None)), (field.name, value)
+            assert value == getattr(want, field.name), field.name
