@@ -102,7 +102,7 @@ def _analytic_plr(family: str, n: int, k: int, p_e: float,
     systematic. The float weights hold C(n, e) only while n is at most
     ANALYTIC_BLOCK_CAP, which is checked first."""
     n, k = check_block(n, k)
-    rng.check_probability(p_e)
+    p_e = rng.check_probability(p_e)
     _check_analytic_block(n)
     cn = [math.comb(n, e) for e in range(n + 1)]
     ck = [math.comb(k, i) for i in range(k + 1)]
@@ -207,7 +207,7 @@ def plr_empirical(codec, n: int, k: int, p_e: float, receivers: int = DEFAULT_RE
     drawing its erasures from a stream keyed by (seed, receiver): the result
     is bit-identical for any worker count."""
     n, k = check_block(n, k)
-    rng.check_probability(p_e)
+    p_e = rng.check_probability(p_e)
     if codec.k != k:
         raise ValueError(f"codec has k={codec.k}, expected {k}")
     if n - k > codec.parity_limit:
@@ -267,7 +267,7 @@ def min_parity(family: str, k: int, p_e: float, plr_target: float, *,
     ANALYTIC_BLOCK_CAP is a parameter error.
     """
     _, k = check_code(family, k, k)
-    rng.check_probability(p_e)
+    p_e = rng.check_probability(p_e)
     if not 0.0 < plr_target < 1.0:
         raise ValueError(f"loss target must be in (0, 1), got {plr_target}")
     receivers, workers = _check_draw(receivers, workers)

@@ -2,8 +2,8 @@
 
 Rows are stored as Python ints, bit j of a row is column j. Addition is xor,
 so row operations cost one machine word operation per word of packed bits.
-`ones` walks the set bits of a row, `pack` sets them and `xor_rows` sums the
-rows a mask selects.
+`ones` walks the set bits of a row and `pack` sets them; `xor_rows`, which
+sums the rows a mask selects, is the tests' reference product.
 `reduce_echelon` and `reduce_augmented` share one scalar elimination;
 `unsolved_totals` runs it on many systems at once, in rank slots, the
 systems sorted by unknown count.
@@ -46,8 +46,9 @@ def pack(positions: Iterable[int]) -> int:
 
 
 def xor_rows(mask: int, rows: Sequence[int]) -> int:
-    """Xor of rows[t] over each set bit t of mask, bit 0 selecting rows[0];
-    0 when mask is 0."""
+    """Xor of rows[t] over each set bit t of mask, bit 0 selecting rows[0], 0 when
+    mask is 0: no production path calls it, it is test_gf2, test_codec,
+    test_polar and test_acceptance's reference GF(2) product."""
     acc = 0
     for t in ones(mask):
         acc ^= rows[t - 1]

@@ -72,7 +72,7 @@ def enumerate_patterns(k: int, e_max: int, p_e: float) -> PatternSet:
     """
     if not 1 <= e_max <= k:
         raise ValueError(f"need 1 <= e_max <= k, got e_max={e_max}")
-    check_probability(p_e)
+    p_e = check_probability(p_e)
     total = 0
     for i in range(1, e_max + 1):  # stopped once past the cap, so total is a lower bound
         total += math.comb(k, i)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import gf2
 from .codec import BLOCK_CAP, ExplicitXorCodec, check_block, check_block_cap, check_finite
 
 _MAX_LEVELS = BLOCK_CAP.bit_length() - 1  # 2**levels channels fill at most BLOCK_CAP
@@ -79,29 +78,32 @@ class PolarCodec(ExplicitXorCodec):
     already restricted to the information rows: the frozen rows carry no
     information, so their ones simply disappear from the mask.
 
-    The information block, the kernel power on the information rows and
-    columns, must be its own inverse: that lets the information columns be
-    replaced by the identity. If it is not, ConstructionError is raised.
+    So the code is [I | A], A the kernel power on the information rows and frozen
+    columns; Arikan's systematic polar code sends B·A, B the kernel power on the
+    information rows and columns. ConstructionError is raised unless B·B = I.
     """
 
     family = "polar"
 
     def __init__(self, levels: int, k: int, epsilon: float):
         info, frozen = channel_split(levels, k, epsilon)
-        # the kernel power is a Kronecker power of [[1, 0], [1, 1]], so its entry (r, c),
-        # 0-based, is 1 exactly when c's bits lie inside r's; column(c) has row rows[t] at bit t
-        rows = [ch - 1 for ch in info]
-
-        def column(c: int) -> int:
-            return sum(1 << t for t, r in enumerate(rows) if not c & ~r)
-
-        block = [column(r) for r in rows]  # the information block, by columns
-        # a square GF(2) matrix is an involution exactly when its transpose is
-        if not all(gf2.xor_rows(col, block) == 1 << s for s, col in enumerate(block)):
+        rows = {ch - 1 for ch in info}
+        # entry (r, c) of B·B counts the information rows m with c ⊆ m ⊆ r; a set
+        # closed upward holds all 2**|r - c| of them, odd only at r = c, so B·B = I
+        if any(r | 1 << b not in rows for r in rows for b in range(levels)):
             raise ConstructionError(
                 f"information submatrix is not self-inverse for levels={levels}, "
                 f"k={k}, epsilon={epsilon}")
-        super().__init__(k, [column(ch - 1) for ch in frozen])
+        # the kernel power's entry (r, c), 0-based, is 1 exactly when c ⊆ r, so column c
+        # sums row info[t] - 1's bit t over c's supersets: the transform, a pass per level
+        cols = [0] * (1 << levels)
+        for t, ch in enumerate(info):
+            cols[ch - 1] = 1 << t
+        for bit in (1 << b for b in range(levels)):
+            for c in range(len(cols)):
+                if not c & bit:
+                    cols[c] ^= cols[c | bit]
+        super().__init__(k, [cols[ch - 1] for ch in frozen])
         self.epsilon = epsilon
         self.info_channels = info
         self.parity_channels = frozen

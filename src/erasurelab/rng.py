@@ -79,10 +79,11 @@ def check_packets(packets: int) -> None:
         raise ValueError(f"at most {MAX_PACKETS} packets per simulated block, got {packets}")
 
 
-def check_probability(p_e: float) -> None:
-    """Reject an erasure probability outside [0, 1]."""
+def check_probability(p_e: float) -> float:
+    """Reject an erasure probability outside [0, 1]; return it as check_finite does."""
     if not 0.0 <= p_e <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p_e}")
+    return p_e.item() if isinstance(p_e, np.generic) else p_e
 
 
 def erasure_masks(seed: int, first: int, count: int, packets: int, p_e: float) -> np.ndarray:

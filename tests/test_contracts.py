@@ -299,3 +299,21 @@ def test_numpy_counts_come_back_as_python_numbers(family):
             value = getattr(got, field.name)
             assert type(value) in (str, int, float, type(None)), (field.name, value)
             assert value == getattr(want, field.name), field.name
+
+
+def test_numpy_erasure_probability_comes_back_as_a_python_float():
+    # a numpy p_e counts as the Python float of its value, in the reports too
+    def calls(p_e):
+        codec = build_codec("polar", 16, 12, epsilon=0.05)
+        draw = dict(receivers=5000, seed=1)
+        patterns = multicast.enumerate_patterns(8, 2, p_e)
+        curve = multicast.weighted_cdf(
+            multicast.simulate_incremental(build_codec("polar", 16, 8, epsilon=0.05), patterns),
+            patterns)
+        return [analytics.plr_mds(8, 4, p_e), analytics.plr_fountain(8, 4, p_e),
+                analytics.plr_empirical(codec, 16, 12, p_e, **draw), patterns, curve,
+                analytics.min_parity("polar", 12, p_e, 1e-2, **draw)]
+
+    got, want = calls(np.float64(0.05)), calls(0.05)
+    assert got == want
+    assert [type(report.p_e) for report in got[:-1]] == [float] * 5

@@ -4,6 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from erasurelab import gf2, polar
@@ -298,3 +299,69 @@ def test_construction_rejects_a_submatrix_that_is_not_self_inverse(monkeypatch):
     monkeypatch.setattr("erasurelab.polar.channel_split", lambda *args: ((1, 2, 4), (3,)))
     with pytest.raises(ConstructionError, match="not self-inverse for levels=2, k=3"):
         PolarCodec(2, 3, 0.05)
+
+
+def test_construction_rejects_an_information_set_that_is_not_closed_upward(monkeypatch):
+    # channel 1 alone gives the block [[1]], its own inverse, but row 0 | 1 is frozen:
+    # the upward-closure check is stricter than B·B = I on splits channel_split never returns
+    monkeypatch.setattr("erasurelab.polar.channel_split", lambda *args: ((1,), (2, 3, 4)))
+    with pytest.raises(ConstructionError, match="not self-inverse for levels=2, k=1"):
+        PolarCodec(2, 1, 0.05)
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 0.01, 0.05, 0.3, 0.9, 1 - 1e-16])
+def test_every_split_is_closed_upward(epsilon):
+    # each k's information set is a prefix of quality_order, so every split is closed
+    # upward exactly when row c | 1 << b ranks before row c for each clear bit b of c
+    for levels in range(1, 17):
+        n = 1 << levels
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.array(quality_order(bhattacharyya(levels, epsilon))) - 1] = np.arange(n)
+        c = np.arange(n)
+        for b in range(levels):
+            clear = c[c >> b & 1 == 0]
+            assert (rank[clear | 1 << b] < rank[clear]).all(), (levels, b)
+
+
+def systematic_parity_columns(codec: PolarCodec) -> list[int]:
+    """Arikan's systematic polar code on codec's split, by columns: column j-1 of
+    B·A over the information rows, bit t-1 for info_channels[t-1], where B is the
+    kernel power on the information rows and columns and A on the information rows
+    and the frozen columns, taken from kernel_rows."""
+    g = kernel_rows(codec.n.bit_length() - 1)
+    info = [ch - 1 for ch in codec.info_channels]
+    b_rows = [sum((g[r] >> c & 1) << t for t, c in enumerate(info)) for r in info]
+    a_cols = [sum((g[r] >> (ch - 1) & 1) << t for t, r in enumerate(info))
+              for ch in codec.parity_channels]
+    return [sum(((b_row & a_col).bit_count() & 1) << s for s, b_row in enumerate(b_rows))
+            for a_col in a_cols]
+
+
+@pytest.mark.parametrize("levels, k", [(4, 8), (6, 40)])
+def test_systematic_polar_reference_is_the_transform_of_the_sources_times_b(levels, k):
+    # x = uG, with u = src·B on the information rows and 0 on the frozen rows, carries
+    # the sources on the information rows and the B·A parity on the frozen rows
+    codec = PolarCodec(levels, k, 0.05)
+    g = kernel_rows(levels)
+    info = [ch - 1 for ch in codec.info_channels]
+    src = [int.from_bytes(bytes((7 * t + i) % 251 for i in range(16)), "little")
+           for t in range(k)]
+    u = [0] * codec.n
+    for t, r in enumerate(info):  # u[r] is src·B at row r: B[s, t] = G[info[s], info[t]]
+        u[r] = gf2.xor_rows(gf2.pack(s + 1 for s, q in enumerate(info) if g[q] >> r & 1), src)
+    x = [gf2.xor_rows(sum((g[i] >> j & 1) << i for i in range(codec.n)), u)
+         for j in range(codec.n)]
+    assert [x[r] for r in info] == src
+    textbook = ExplicitXorCodec(k, systematic_parity_columns(codec))
+    packets = [v.to_bytes(16, "little") for v in src]
+    assert textbook.encode(packets, codec.parity_limit) == [
+        x[ch - 1].to_bytes(16, "little") for ch in codec.parity_channels]
+
+
+def test_the_reservoir_shares_about_half_its_columns_with_the_systematic_polar_code():
+    shared = {}
+    for levels, k in [(4, 8), (5, 16), (6, 40), (8, 180)]:
+        codec = PolarCodec(levels, k, 0.05)
+        shared[codec.n, k] = sum(a == b for a, b in zip(codec.masks,
+                                                        systematic_parity_columns(codec)))
+    assert shared == {(16, 8): 4, (32, 16): 10, (64, 40): 12, (256, 180): 35}
