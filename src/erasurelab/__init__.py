@@ -26,7 +26,6 @@ from .fountain import FountainCode
 from .gf256 import MdsCode, build_mds
 from .multicast import enumerate_patterns, simulate_incremental, weighted_cdf
 from .polar import (
-    ConstructionError,
     PolarCodec,
     bhattacharyya,
     channel_split,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchReport",
-    "ConstructionError",
     "DecodeResult",
     "ErasureCodec",
     "ExplicitXorCodec",

@@ -15,10 +15,6 @@ from .codec import BLOCK_CAP, ExplicitXorCodec, check_block, check_block_cap, ch
 _MAX_LEVELS = BLOCK_CAP.bit_length() - 1  # 2**levels channels fill at most BLOCK_CAP
 
 
-class ConstructionError(Exception):
-    """The algebraic soundness check of the construction failed."""
-
-
 def bhattacharyya(levels: int, epsilon: float) -> list[float]:
     """Per-channel Bhattacharyya parameters after `levels` polarization steps.
 
@@ -34,9 +30,7 @@ def bhattacharyya(levels: int, epsilon: float) -> list[float]:
     channel 1 is always the worst and channel 2**levels the best.
     """
     _check_levels(levels)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    z = [epsilon]
+    z = [_check_epsilon(epsilon)]
     for _ in range(levels):
         z = [w for v in z for w in (2.0 * v - v * v, v * v)]
     return z
@@ -47,6 +41,14 @@ def _check_levels(levels: int) -> None:
     if not 1 <= levels <= _MAX_LEVELS:
         raise ValueError(f"need 1 <= levels <= {_MAX_LEVELS}, the block cap {BLOCK_CAP}, "
                          f"got levels={levels}")
+
+
+def _check_epsilon(epsilon: float) -> float:
+    """The one epsilon rule: reject an epsilon outside (0, 1); return it as
+    check_finite does, so a numpy float's recursion runs on its Python float."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    return check_finite("epsilon", epsilon)[0]  # in (0, 1), so finite
 
 
 def quality_order(z: Sequence[float]) -> list[int]:
@@ -79,21 +81,15 @@ class PolarCodec(ExplicitXorCodec):
     information, so their ones simply disappear from the mask.
 
     So the code is [I | A], A the kernel power on the information rows and frozen
-    columns; Arikan's systematic polar code sends B·A, B the kernel power on the
-    information rows and columns. ConstructionError is raised unless B·B = I.
+    columns, and the transform builds it from any split; Arikan's systematic polar
+    code sends B·A, B the kernel power on the information rows and columns, which
+    needs B·B = I and so a split closed upward, as channel_split's splits are.
     """
 
     family = "polar"
 
     def __init__(self, levels: int, k: int, epsilon: float):
         info, frozen = channel_split(levels, k, epsilon)
-        rows = {ch - 1 for ch in info}
-        # entry (r, c) of B·B counts the information rows m with c ⊆ m ⊆ r; a set
-        # closed upward holds all 2**|r - c| of them, odd only at r = c, so B·B = I
-        if any(r | 1 << b not in rows for r in rows for b in range(levels)):
-            raise ConstructionError(
-                f"information submatrix is not self-inverse for levels={levels}, "
-                f"k={k}, epsilon={epsilon}")
         # the kernel power's entry (r, c), 0-based, is 1 exactly when c ⊆ r, so column c
         # sums row info[t] - 1's bit t over c's supersets: the transform, a pass per level
         cols = [0] * (1 << levels)
@@ -104,7 +100,7 @@ class PolarCodec(ExplicitXorCodec):
                 if not c & bit:
                     cols[c] ^= cols[c | bit]
         super().__init__(k, [cols[ch - 1] for ch in frozen])
-        self.epsilon = epsilon
+        self.epsilon = _check_epsilon(epsilon)
         self.info_channels = info
         self.parity_channels = frozen
 

@@ -97,7 +97,7 @@ def erasure_masks(seed: int, first: int, count: int, packets: int, p_e: float) -
     piece. The buffers belong to the call, so threads may call this at once.
     Every word is still mix64 of its own counter, so the split changes no bit.
     """
-    check_probability(p_e)
+    p_e = check_probability(p_e)  # a Python float, so the threshold is float64
     first, count = operator.index(first), operator.index(count)  # numpy ints overflow below
     if first < 0 or count < 0 or first + count > 2**64:
         raise ValueError(f"receivers must lie in [0, 2**64), got first={first}, count={count}")

@@ -220,6 +220,11 @@ CONSTRUCTORS = {
     "fountain": lambda n, k, seed, epsilon: FountainCode(k, seed, n=n),
     "polar": lambda n, k, seed, epsilon: polar_for_parity(k, n - k, epsilon),
 }
+REPRS = {
+    "mds": "MdsCode(n={n}, k={k})",
+    "fountain": "FountainCode(k={k}, seed={seed}, n={n})",
+    "polar": "PolarCodec(n={n}, k={k}, epsilon={epsilon})",
+}
 
 
 @st.composite
@@ -246,6 +251,7 @@ def test_build_codec_returns_the_family_constructors_codec(args):
     assert (codec.family, codec.n, codec.k) == (family, own.n, own.k)
     assert codec.parity_limit == codec.n - codec.k
     assert _columns(codec) == _columns(own)
+    assert repr(codec) == REPRS[family].format(n=own.n, k=k, seed=seed, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("args, kwargs, message", [

@@ -302,7 +302,9 @@ def test_numpy_counts_come_back_as_python_numbers(family):
 
 
 def test_numpy_erasure_probability_comes_back_as_a_python_float():
-    # a numpy p_e counts as the Python float of its value, in the reports too
+    # a numpy p_e or epsilon counts as the Python float of its value, in the reports
+    # and the polar code too: in float32 the Bhattacharyya recursion would build
+    # another split at levels 8, k 17, epsilon 0.05
     def calls(p_e):
         codec = build_codec("polar", 16, 12, epsilon=0.05)
         draw = dict(receivers=5000, seed=1)
@@ -310,10 +312,15 @@ def test_numpy_erasure_probability_comes_back_as_a_python_float():
         curve = multicast.weighted_cdf(
             multicast.simulate_incremental(build_codec("polar", 16, 8, epsilon=0.05), patterns),
             patterns)
+        built = polar.PolarCodec(8, 17, p_e)
         return [analytics.plr_mds(8, 4, p_e), analytics.plr_fountain(8, 4, p_e),
                 analytics.plr_empirical(codec, 16, 12, p_e, **draw), patterns, curve,
-                analytics.min_parity("polar", 12, p_e, 1e-2, **draw)]
+                analytics.min_parity("polar", 12, p_e, 1e-2, **draw),
+                polar.bhattacharyya(8, p_e), polar.channel_split(8, 17, p_e),
+                (built.info_channels, built.parity_channels, built.masks, built.epsilon)]
 
-    got, want = calls(np.float64(0.05)), calls(0.05)
-    assert got == want
-    assert [type(report.p_e) for report in got[:-1]] == [float] * 5
+    for as_float in (np.float64, np.float32):
+        got, want = calls(as_float(0.05)), calls(float(as_float(0.05)))
+        assert got == want, as_float
+        assert [type(report.p_e) for report in got[:5]] == [float] * 5
+        assert {type(z) for z in got[6]} == {float} and type(got[-1][-1]) is float

@@ -206,6 +206,7 @@ def test_matrix_inverse_round_trip():
         if inv is None:
             continue
         inverted += 1
+        assert repr(inv) == f"Gf256Matrix({n}x{n})"
         product = combine(n, combine_tables(m.data, n), inv.data)
         assert (product == np.eye(n, dtype=np.uint8)).all()
     assert inverted > 40  # a random n x n matrix over GF(256) is singular about 1 time in 255

@@ -103,6 +103,16 @@ def test_vectorized_masks_edge_probabilities():
     assert (ones == (1 << 16) - 1).all()
 
 
+@pytest.mark.parametrize("as_float", [np.float16, np.float32])
+def test_a_numpy_probability_draws_the_masks_of_its_value(as_float):
+    # the threshold p_e * 2**64 is taken of the checked Python float: in float16 it
+    # would overflow, in float32 it is exact only because the factor is a power of two
+    for value in (0.1, 0.05, 0.7, 1.0):
+        p_e = as_float(value)
+        want = rng.erasure_masks(3, 0, 1 << 16, 16, float(p_e))
+        assert (rng.erasure_masks(3, 0, 1 << 16, 16, p_e) == want).all(), p_e
+
+
 def test_piece_boundaries_change_no_bit(monkeypatch):
     # with 7-receiver pieces the counts fall short of, fill and cross piece boundaries
     monkeypatch.setattr(rng, "_PIECE", 7)
