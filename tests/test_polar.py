@@ -296,14 +296,10 @@ def test_parity_limit_matches_reservoir():
         codec.encode(src, 7)
 
 
-@pytest.mark.parametrize("split", [((1, 2, 4), (3,)), ((1,), (2, 3, 4))],
-                         ids=["block not self-inverse", "block self-inverse"])
-def test_a_split_that_is_not_closed_upward_builds_its_reservoir_and_round_trips(
-        split, monkeypatch):
-    # the transform needs nothing of the split: channels 1, 2, 4 give an information
-    # block whose square is not I, channel 1 alone one that is, and neither is closed
-    # upward; each builds the subset rule's reservoir, and decode recovers exactly
-    # the sources unrecovered_sources allows from every set of received packets
+def check_split_builds_its_reservoir_and_round_trips(split, monkeypatch):
+    # the transform needs nothing of the split: a split that is not closed upward
+    # builds the subset rule's reservoir, and decode recovers exactly the sources
+    # unrecovered_sources allows from every set of received packets
     info, frozen = split
     monkeypatch.setattr(polar, "channel_split", lambda *args: split)
     codec = PolarCodec(2, len(info), 0.05)
@@ -318,6 +314,16 @@ def test_a_split_that_is_not_closed_upward_builds_its_reservoir_and_round_trips(
             assert out.unrecoverable == codec.unrecovered_sources(received), received
             assert out.recovered == {t: src[t - 1] for t in range(1, codec.k + 1)
                                      if t not in out.unrecoverable}, received
+
+
+def test_split_whose_block_is_not_self_inverse_round_trips(monkeypatch):
+    # channels 1, 2, 4 give an information block whose square is not I
+    check_split_builds_its_reservoir_and_round_trips(((1, 2, 4), (3,)), monkeypatch)
+
+
+def test_split_whose_block_is_self_inverse_round_trips(monkeypatch):
+    # channel 1 alone gives a block that is its own inverse, still not closed upward
+    check_split_builds_its_reservoir_and_round_trips(((1,), (2, 3, 4)), monkeypatch)
 
 
 @pytest.mark.parametrize("epsilon", [1e-300, 0.01, 0.05, 0.3, 0.9, 1 - 1e-16])
