@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import gf2
+from . import gf2, rng
 
 FAMILIES = ("mds", "fountain", "polar")
 BLOCK_CAP = 1 << 16  # the xor families take blocks of at most this many packets
@@ -64,11 +64,12 @@ class ErasureCodec:
             raise ValueError(f"parity index {j} out of range")
 
     def encode(self, source: Sequence[bytes], p: int) -> list[bytes]:
-        """Parity packets 1..p for k equal-length source packets."""
+        """Parity packets 1..p, p an integer, for k equal-length source packets."""
         if len(source) != self.k:
             raise ValueError(f"expected {self.k} source packets, got {len(source)}")
         if not 0 <= p <= self.parity_limit:
             raise ValueError(f"parity count {p} out of range")
+        p = operator.index(p)
         if len(set(map(len, source))) > 1:
             raise ValueError("source packets must have equal length")
         size = len(source[0])
@@ -135,15 +136,15 @@ class ErasureCodec:
 
     def unrecovered_sources(self, received_indices: Iterable[int]) -> frozenset[int]:
         """Like decode, on indices alone: which source packets stay missing.
-        Indices below 1 are ignored; an index past n raises while a source is
-        missing."""
+        Indices below 1 are ignored. While a source is missing, each index
+        past k must be an integer (operator.index) and one past n raises."""
         received = set(received_indices)
         missing = self._sources.difference(received)
         if not missing:
             return missing
         k = self.k
         # set differences, not a loop over every index: multicast asks once per round
-        parity = [i - k for i in received.difference(self._sources) if i > k]
+        parity = [operator.index(i) - k for i in received.difference(self._sources) if i > k]
         if parity:
             self._check_parity_index(max(parity))
         return self._unsolved(missing, parity)
@@ -157,7 +158,7 @@ class ErasureCodec:
         if rounds > self.parity_limit:
             raise ValueError(f"rounds {rounds} exceed the parity limit {self.parity_limit}")
         for pattern in lost:
-            if not self._sources.issuperset(pattern):
+            if not self._sources.issuperset(map(operator.index, pattern)):
                 raise ValueError(f"lost set {sorted(pattern)} holds an index outside 1..{self.k}")
         return self._recovery_rows(lost, rounds)
 
@@ -170,10 +171,13 @@ class ErasureCodec:
         block of n packets (bit t set: packet t+1 lost) of the mask's weight
         times how many source packets stay missing when only the first k+j
         packets were sent; that count is unrecovered_sources over the packets
-        of the first k+j that the mask leaves received."""
-        k = self.k
-        if n != k:  # n < k raises too
-            self._check_parity_index(n - k)
+        of the first k+j that the mask leaves received. n is an integer
+        (operator.index) from k to the codec's n, and at most 64
+        (rng.check_packets): each mask is one uint64 word."""
+        rng.check_packets(n)
+        n, k = operator.index(n), self.k
+        if not k <= n <= self.n:
+            raise ValueError(f"parity index {n - k} out of range")
         return self._unsolved_totals(erased & np.uint64((1 << k) - 1), erased >> np.uint64(k),
                                      n - k, weights)
 
@@ -274,11 +278,12 @@ def check_finite(what: str, *values) -> tuple:
 
 
 def check_block(n: int, k: int) -> tuple[int, int]:
-    """Reject a non-finite n or k or a k outside 1..n; return them as check_finite does."""
+    """Reject a non-finite n or k or a k outside 1..n; return them as ints
+    (operator.index), so a float raises TypeError."""
     n, k = check_finite("n and k", n, k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return n, k
+    return operator.index(n), operator.index(k)
 
 
 def check_block_cap(what: str, n: int) -> None:

@@ -202,6 +202,17 @@ def test_numpy_integer_indices_give_the_int_results(family, k):
     rounds = codec.parity_limit
     assert (codec.recovery_rows([frozenset(map(np.int64, s)) for s in sets], rounds)
             == codec.recovery_rows(sets, rounds))
+    # a bool or numpy parity count encodes as its int; a float never encodes,
+    # not even once the encoder of its int value is cached
+    assert codec.encode(source, True) == codec.encode(source, 1)
+    assert codec.encode(source, np.int64(2)) == codec.encode(source, 2)
+    errors = []
+    for _ in range(2):  # before and after encode(source, 2)
+        with pytest.raises(TypeError) as excinfo:
+            codec.encode(source, 2.0)
+        errors.append(str(excinfo.value))
+        codec.encode(source, 2)
+    assert errors[0] == errors[1]
     with pytest.raises(TypeError):
         codec.decode({2.0: source[1]})
 

@@ -1,7 +1,8 @@
 """Every public entry point rejects a bad block, family, erasure probability,
 draw size, analytic block, block or pattern cap, level count, model size or
-non-finite number with its rule's one message, whatever the family, and no
-numeric edge gets past its checks."""
+non-finite number with its rule's one message, whatever the family, no
+numeric edge gets past its checks, and every codec front meets each edge
+alike in every family."""
 from __future__ import annotations
 
 import dataclasses
@@ -31,12 +32,18 @@ PARITY_FINITE = "k and p must be finite"
 WORKER = "need at least one worker"
 LEVELS = "need 1 <= levels <= 16, the block cap 65536, got levels={}"
 BLOCK_CAP = "{}={} exceeds the block cap 65536"
+PACKETS = "at most 64 packets per simulated block, got {}"
 PATTERN_CAP = ("at least {} patterns exceed the enumeration cap 1000000; lower e_max or sample "
                "patterns instead of enumerating them")
 
 
 def _fountain():
     return build_codec("fountain", 8, 4, seed=1)
+
+
+def _totals(codec, n):
+    """unrecovered_totals of three lossless masks of weight 1 in a block of n."""
+    return codec.unrecovered_totals(np.zeros(3, dtype=np.uint64), n, np.ones(3, dtype=np.int64))
 
 
 # (entry point and rule, call, the rule's message)
@@ -161,6 +168,12 @@ CONTRACTS = [
     ("erasure_masks probability",
      lambda: rng.erasure_masks(0, 0, 4, 8, 1.5), PROBABILITY.format(1.5)),
     ("channel_epsilon probability", lambda: cli.channel_epsilon(1.5), PROBABILITY.format(1.5)),
+    ("unrecovered_totals mds past the mask word", lambda: _totals(build_mds(70, 60), 70),
+     PACKETS.format(70)),
+    ("unrecovered_totals fountain past the mask word",
+     lambda: _totals(FountainCode(60, 1, n=70), 70), PACKETS.format(70)),
+    ("unrecovered_totals polar past the mask word",
+     lambda: _totals(polar_for_parity(60, 10, 0.05), 70), PACKETS.format(70)),
 ]
 
 
@@ -170,6 +183,22 @@ def test_entry_point_raises_its_rules_message(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+FLOAT_COUNT = "'float' object cannot be interpreted as an integer"
+# (entry point, call with a float n or k that its checks let through)
+FLOAT_BLOCKS = [
+    ("check_block n", lambda: check_block(8.0, 4)),
+    ("check_block k", lambda: check_block(8, 4.0)),
+    ("op_count", lambda: analytics.op_count("mds", 4.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("call", [row[1] for row in FLOAT_BLOCKS],
+                         ids=[row[0] for row in FLOAT_BLOCKS])
+def test_a_float_block_raises_type_error_at_check_block(call):
+    with pytest.raises(TypeError, match=f"^{FLOAT_COUNT}$"):
+        call()
 
 
 # every numeric argument of the sweep below is its valid base value or one of these
@@ -240,6 +269,11 @@ SWEEP = [
     ("decode", lambda i: _FOUNTAIN.decode({i: b"ab", 2: b"ab"}), dict(i=5), dict(i=EDGES)),
     ("recovery_rows", lambda rounds: _FOUNTAIN.recovery_rows([frozenset({1})], rounds),
      dict(rounds=2), dict(rounds=EDGES)),
+    ("recovery_rows lost member", lambda i: _FOUNTAIN.recovery_rows([frozenset({i})], 2),
+     dict(i=1), dict(i=EDGES)),
+    ("unrecovered_sources", lambda i: _FOUNTAIN.unrecovered_sources([2, 3, 4, i]), dict(i=5),
+     dict(i=EDGES)),
+    ("unrecovered_totals", lambda n: _totals(_FOUNTAIN, n), dict(n=8), dict(n=EDGES)),
 ]
 
 
@@ -324,3 +358,47 @@ def test_numpy_erasure_probability_comes_back_as_a_python_float():
         assert got == want, as_float
         assert [type(report.p_e) for report in got[:5]] == [float] * 5
         assert {type(z) for z in got[6]} == {float} and type(got[-1][-1]) is float
+
+
+# equal blocks (16, 12), so equal parity limits 4, in every family
+FRONT_CODECS = {
+    "mds": lambda: build_mds(16, 12),
+    "fountain": lambda: FountainCode(12, 1, n=16),
+    "polar": lambda: polar_for_parity(12, 4, 0.05),
+}
+FRONT_SOURCE = [bytes([t, t]) for t in range(12)]
+
+
+def _cached(codec):
+    """The codec once its encoder holds (2, 2)."""
+    codec.encode(FRONT_SOURCE, 2)
+    return codec
+
+
+# (front and input, call on a codec and the value); encode gives its parity
+# lengths, since the bytes are each family's own
+FRONTS = [
+    ("encode p", lambda c, p: [len(pkt) for pkt in c.encode(FRONT_SOURCE, p)]),
+    ("encode p, encoder cached",
+     lambda c, p: [len(pkt) for pkt in _cached(c).encode(FRONT_SOURCE, p)]),
+    ("decode packet index", lambda c, i: c.decode({i: b"ab", 2: b"ab"})),
+    ("oracle parity index", lambda c, i: c.unrecovered_sources([*range(2, 13), i])),
+    ("recovery_rows lost member", lambda c, i: c.recovery_rows([frozenset({i})], 4)),
+    ("unrecovered_totals n", _totals),
+]
+
+
+def _outcome(front, codec, value):
+    """The front's result, or its exception's type and message."""
+    try:
+        return front(codec, value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("front", [row[1] for row in FRONTS], ids=[row[0] for row in FRONTS])
+def test_every_family_meets_each_edge_at_a_codec_front_alike(front):
+    # none of these values is a valid input on which the families' codes differ
+    for value in (*EDGES, 13.0, 14.5, 16.0):
+        outcomes = [_outcome(front, make(), value) for make in FRONT_CODECS.values()]
+        assert outcomes == outcomes[:1] * 3, (value, outcomes)
